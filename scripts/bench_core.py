@@ -5,8 +5,8 @@ Where ``bench_scale.py`` measures whole cluster-scale runs, this suite
 isolates the primitives the profile says the event loop is made of, one
 lane per subprocess:
 
-* ``dispatch`` / ``dispatch_calendar`` — bare scheduler hops: self-
-  rescheduling timer chains through the heap / calendar backend.
+* ``dispatch`` — bare scheduler hops: self-rescheduling timer chains
+  through the event heap.
 * ``trigger`` — ``Event`` trigger/waiter hand-off chains.
 * ``resource`` — ``FifoResource.submit_call`` completion pipelines (the
   two-hop grant/release discipline, four of which back every message).
@@ -49,9 +49,9 @@ cfg = json.loads(sys.argv[1])
 lane, n = cfg["lane"], cfg["n"]
 
 
-def run_dispatch(n, queue):
+def run_dispatch(n):
     from repro.sim.core import Simulator
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     chains = 512
     hops = n // chains
     # Deterministic, irregular delays exercise the pending set the way
@@ -177,9 +177,7 @@ def run_shard_window(n):
 
 
 if lane == "dispatch":
-    events, wall = run_dispatch(n, "heap")
-elif lane == "dispatch_calendar":
-    events, wall = run_dispatch(n, "calendar")
+    events, wall = run_dispatch(n)
 elif lane == "trigger":
     events, wall = run_trigger(n)
 elif lane == "resource":
@@ -206,7 +204,6 @@ print(json.dumps({
 #: Lane -> target event count (full mode).  ``--quick`` divides by 16.
 _LANES = {
     "dispatch": 400_000,
-    "dispatch_calendar": 400_000,
     "trigger": 150_000,
     "resource": 200_000,
     "sendrecv": 150_000,

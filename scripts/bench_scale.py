@@ -5,9 +5,9 @@ Runs the ``scale_workload`` family (grid² ranks, one owned point per
 rank per step — event-loop bound) at 64/256/1024 ranks through the
 rebuilt core and writes ``BENCH_scale.json`` next to the repo root:
 
-* ``trace=off`` on the heap and calendar queue backends,
+* ``trace=off``,
 * ``trace="streaming"`` (O(ranks) accumulators) and ``trace="full"``
-  (per-interval records) on the heap backend,
+  (per-interval records),
 * one rank-sharded run (in-process shards) as a protocol smoke check.
 
 Each configuration runs in its own subprocess so peak RSS
@@ -47,7 +47,6 @@ if cfg["nshards"] > 1:
     prog = TiledProgram(w, v, m, blocking=False)
     sharded = ShardedSimulation(
         m, prog.num_ranks, cfg["nshards"], trace=cfg["trace"],
-        queue=cfg["queue"],
     )
     t0 = time.perf_counter()
     res = sharded.run(prog.programs())
@@ -60,7 +59,7 @@ if cfg["nshards"] > 1:
     }
 else:
     prog = TiledProgram(w, v, m, blocking=False)
-    world = World(m, prog.num_ranks, trace=cfg["trace"], queue=cfg["queue"])
+    world = World(m, prog.num_ranks, trace=cfg["trace"])
     programs = prog.programs()
     t0 = time.perf_counter()
     end = world.run(programs)
@@ -113,10 +112,10 @@ def _run_subprocess(code: str, arg: str | None = None) -> dict:
     return json.loads(out.stdout)
 
 
-def _measure(grid: int, depth: int, v: int, *, trace, queue: str = "heap",
+def _measure(grid: int, depth: int, v: int, *, trace,
              nshards: int = 1) -> dict:
     cfg = {"grid": grid, "depth": depth, "v": v, "trace": trace,
-           "queue": queue, "nshards": nshards}
+           "nshards": nshards}
     return _run_subprocess(_RUN_ONE, json.dumps(cfg))
 
 
@@ -142,8 +141,6 @@ def main(argv=None) -> int:
         ranks = grid * grid
         runs = {
             f"ranks{ranks}_traceoff": dict(trace=False),
-            f"ranks{ranks}_traceoff_calendar": dict(trace=False,
-                                                    queue="calendar"),
             f"ranks{ranks}_streaming": dict(trace="streaming"),
             f"ranks{ranks}_tracefull": dict(trace="full"),
         }
@@ -152,7 +149,6 @@ def main(argv=None) -> int:
         for key, kw in runs.items():
             r = _measure(grid, depth, args.v, **kw)
             before_key = key.replace("_streaming", "_tracefull") \
-                            .replace("_traceoff_calendar", "_traceoff") \
                             .replace("_sharded4", "_traceoff")
             before = baseline.get(before_key)
             if before is not None:
@@ -187,8 +183,8 @@ def main(argv=None) -> int:
                          "(commit 3a37c7b, same workload/method); "
                          "'_streaming' rows compare against the seed's "
                          "full-record trace (the only trace mode it had), "
-                         "'_traceoff_calendar' and '_sharded4' rows "
-                         "against the seed's untraced heap loop",
+                         "'_sharded4' rows against the seed's untraced "
+                         "loop",
         "machine_drift": "shared-host throughput drifts +/-15-30% over "
                          "minutes, so speedup_vs_seed (this run divided "
                          "by a months-old committed number) conflates "

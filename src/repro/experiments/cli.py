@@ -33,7 +33,7 @@ from repro.kernels.workloads import (
     paper_experiment_iii,
 )
 from repro.model.machine import pentium_cluster, sci_cluster
-from repro.runtime.executor import run_tiled
+from repro.runtime.executor import run_tiled, run_tiled_sharded
 from repro.runtime.verify import verify_workload
 from repro.util.tables import format_kv
 from repro.viz.ascii_plots import plot_sweep
@@ -207,7 +207,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     w = scale_workload(args.grid, args.depth)
     m = _machine(args.machine)
     blocking = args.schedule == "nonoverlap"
-    engine = _engine(args)
     print(
         f"scale run: {w.num_processors} ranks ({args.grid}x{args.grid} grid), "
         f"depth {args.depth}, V={args.v}, "
@@ -220,23 +219,22 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             "routed topologies are single-simulator only; drop --shards "
             "or use --topology crossbar"
         )
+    # Direct runs (no engine cache): this command reports throughput,
+    # so a cache-served result would be meaningless.
     t0 = time.perf_counter()
     if args.shards == 1:
-        # Direct run (no engine cache): this command reports throughput,
-        # so a cache-served result would be meaningless.
         res = run_tiled(w, args.v, m, blocking=blocking,
-                        trace=args.trace, queue=args.queue,
-                        topology=topology)
+                        trace=args.trace, topology=topology)
         rows = [
             ("completion time (s)", res.completion_time),
             ("messages", res.messages_sent),
             ("events", res.event_count),
         ]
     else:
-        res = engine.run_sharded(
+        res = run_tiled_sharded(
             w, args.v, m, blocking=blocking, nshards=args.shards,
             processes=not args.in_process, trace=args.trace,
-            queue=args.queue, shard_timeout=args.shard_timeout,
+            shard_timeout=args.shard_timeout,
         )
         rows = [
             ("completion time (s)", res.completion_time),
@@ -342,7 +340,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     print(
         f"profiling: {args.grid}x{args.grid} grid, depth {args.depth}, "
-        f"V={args.v}, {args.schedule} schedule, queue={args.queue}, "
+        f"V={args.v}, {args.schedule} schedule, "
         f"trace={'on' if args.trace else 'off'} ...",
         file=sys.stderr,
     )
@@ -351,7 +349,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         machine=_machine(args.machine),
         blocking=args.schedule == "nonoverlap",
         trace=args.trace,
-        queue=args.queue,
         top=args.top,
         sampling=not args.no_sampling,
     )
@@ -700,11 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="declare a silent shard process frozen after "
                             "this many seconds and respawn+replay it "
                             "(default: no timeout)")
-    scale.add_argument("--queue", default="auto",
-                       choices=("auto", "heap", "calendar"),
-                       help="event-queue backend (results identical; auto "
-                            "picks calendar when the event population "
-                            "warrants it)")
     scale.add_argument("--trace", nargs="?", const="streaming",
                        default=False, choices=("streaming", "full"),
                        help="trace mode (default off; bare flag = streaming)")
@@ -837,8 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="tile height")
     prof.add_argument("--schedule", default="overlap",
                       choices=("overlap", "nonoverlap"))
-    prof.add_argument("--queue", default="auto",
-                      choices=("auto", "heap", "calendar"))
     prof.add_argument("--trace", action="store_true",
                       help="profile with tracing enabled (shows the "
                            "tracing lane's cost)")

@@ -423,94 +423,6 @@ class Engine:
             )
         ]
 
-    def run_sharded(
-        self,
-        workload: StencilWorkload,
-        v: int,
-        machine: Machine,
-        *,
-        blocking: bool,
-        nshards: int | None = None,
-        processes: bool | None = None,
-        trace: bool | str = False,
-        queue: str = "auto",
-        shard_timeout: float | None = None,
-        max_shard_restarts: int = 2,
-        max_events: int = 50_000_000,
-    ):
-        """Run *one* giant workload partitioned over shard simulators
-        (:mod:`repro.sim.sharding`); returns a
-        :class:`~repro.sim.sharding.ShardedResult`.
-
-        Where :meth:`run_batch` parallelises *across* independent runs,
-        this parallelises *within* a single run: ranks are split into
-        ``nshards`` conservative-lookahead shards (default
-        ``min(jobs, num_ranks)``), each its own OS process when
-        ``processes`` (default: whenever more than one shard).  Results
-        are bit-identical to :func:`repro.runtime.executor.run_tiled`
-        for every shard count, so untraced runs share the engine cache
-        semantics (``method="shard1"``; the shard count is folded into
-        the key because ``event_count``/``windows`` depend on it).
-        """
-        from repro.runtime.executor import run_tiled_sharded
-        from repro.sim.sharding import ShardedResult
-
-        num_ranks = workload.num_processors
-        if nshards is None:
-            nshards = max(1, min(self.jobs, num_ranks))
-        if processes is None:
-            processes = nshards > 1
-        if trace:
-            return run_tiled_sharded(
-                workload, v, machine, blocking=blocking, nshards=nshards,
-                trace=trace, queue=queue, processes=processes,
-                shard_timeout=shard_timeout,
-                max_shard_restarts=max_shard_restarts,
-                harness_chaos=self.harness_chaos,
-                max_events=max_events,
-            )
-        spec = run_key(workload, v, machine, blocking=blocking,
-                       method="shard1", extra={"nshards": nshards})
-        if self.cache is not None:
-            payload = self.cache.get(spec)
-            if payload is not None:
-                stats = dict(payload["network_stats"])
-                for key in ("tx_bytes", "rx_bytes"):
-                    if key in stats:
-                        stats[key] = tuple(stats[key])
-                return ShardedResult(
-                    completion_time=payload["completion_time"],
-                    messages_sent=payload["messages_sent"],
-                    event_count=payload["event_count"],
-                    windows=payload["windows"],
-                    nshards=payload["nshards"],
-                    messages_dropped=payload["messages_dropped"],
-                    messages_corrupted=payload["messages_corrupted"],
-                    network_stats=stats,
-                )
-        res = run_tiled_sharded(
-            workload, v, machine, blocking=blocking, nshards=nshards,
-            queue=queue, processes=processes, shard_timeout=shard_timeout,
-            max_shard_restarts=max_shard_restarts,
-            harness_chaos=self.harness_chaos, max_events=max_events,
-        )
-        if self.cache is not None:
-            stats = dict(res.network_stats)
-            for key in ("tx_bytes", "rx_bytes"):
-                if key in stats:
-                    stats[key] = list(stats[key])
-            self.cache.put(spec, {
-                "completion_time": res.completion_time,
-                "messages_sent": res.messages_sent,
-                "event_count": res.event_count,
-                "windows": res.windows,
-                "nshards": res.nshards,
-                "messages_dropped": res.messages_dropped,
-                "messages_corrupted": res.messages_corrupted,
-                "network_stats": stats,
-            })
-        return res
-
     def run_chaos_batch(
         self,
         workload: StencilWorkload,

@@ -38,10 +38,9 @@ __all__ = [
 ]
 
 #: Lane name -> module-path fragments that belong to it.  Attribution
-#: takes the FIRST matching lane, so order matters (e.g. ``equeue``
-#: before the generic ``repro/sim``).
+#: takes the FIRST matching lane, so order matters.
 LANES = (
-    ("event queue", ("repro/sim/equeue.py", "heapq")),
+    ("event queue", ("heapq",)),
     ("event loop", ("repro/sim/core.py",)),
     ("resources", ("repro/sim/resources.py",)),
     ("message layer", ("repro/sim/mpi.py",)),
@@ -120,7 +119,6 @@ def profile_scale_run(
     machine=None,
     blocking: bool = False,
     trace: bool = False,
-    queue: str = "auto",
     top: int = 15,
     sampling: bool = True,
 ) -> ProfileReport:
@@ -135,8 +133,7 @@ def profile_scale_run(
 
     prof = cProfile.Profile()
     prof.enable()
-    res = run_tiled(w, v, machine, blocking=blocking, trace=trace,
-                    queue=queue)
+    res = run_tiled(w, v, machine, blocking=blocking, trace=trace)
     prof.disable()
 
     stats = pstats.Stats(prof)
@@ -151,7 +148,7 @@ def profile_scale_run(
     sampling_text = None
     if sampling:
         sampling_text = _pyinstrument_run(w, v, machine, blocking=blocking,
-                                          trace=trace, queue=queue)
+                                          trace=trace)
 
     return ProfileReport(
         lanes=tuple(lanes),
@@ -163,7 +160,7 @@ def profile_scale_run(
     )
 
 
-def _pyinstrument_run(w, v, machine, *, blocking, trace, queue):
+def _pyinstrument_run(w, v, machine, *, blocking, trace):
     """A second, sampled run under pyinstrument — or ``None`` when the
     (optional) dependency is absent."""
     try:
@@ -174,7 +171,7 @@ def _pyinstrument_run(w, v, machine, *, blocking, trace, queue):
 
     profiler = Profiler()
     profiler.start()
-    run_tiled(w, v, machine, blocking=blocking, trace=trace, queue=queue)
+    run_tiled(w, v, machine, blocking=blocking, trace=trace)
     profiler.stop()
     return profiler.output_text(unicode=False, color=False)
 

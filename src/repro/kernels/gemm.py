@@ -228,7 +228,6 @@ def run_summa(
     faults: FaultPlan | None = None,
     reliable: ReliableConfig | None = None,
     watchdog: WatchdogConfig | None = None,
-    queue: str = "auto",
     max_events: int = 50_000_000,
 ) -> SummaResult:
     """Simulate one SUMMA job.
@@ -241,7 +240,7 @@ def run_summa(
     pipeline) exactly like stencil chaos runs.
     """
     world = World(machine, cfg.num_ranks, trace=trace, faults=faults,
-                  reliable=reliable, queue=queue, topology=topology)
+                  reliable=reliable, topology=topology)
     programs = summa_programs(cfg, machine)
     if faults is None and reliable is None:
         completion = world.run(programs, max_events=max_events)

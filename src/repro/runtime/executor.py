@@ -74,7 +74,6 @@ def run_tiled(
     trace: bool | str = False,
     max_events: int = 50_000_000,
     engine=None,
-    queue: str = "auto",
     topology=None,
 ) -> ExecutionResult:
     """Simulate the workload at tile height ``v`` under one schedule.
@@ -90,9 +89,8 @@ def run_tiled(
     topology-routed runs always execute directly.
 
     ``trace`` accepts ``False``/``True``/``"full"``/``"streaming"`` (see
-    :class:`~repro.sim.mpi.World`); ``queue`` selects the event-queue
-    backend (``"heap"`` or ``"calendar"``) — results are bit-identical
-    across backends and trace modes.  ``topology`` (a
+    :class:`~repro.sim.mpi.World`) — results are bit-identical across
+    trace modes.  ``topology`` (a
     :class:`~repro.sim.topology.Topology`) selects the fabric; ``None``
     or a crossbar keeps the historical model bit-identically.
     """
@@ -101,8 +99,7 @@ def run_tiled(
             workload, v, machine, blocking=blocking, max_events=max_events
         )
     prog = TiledProgram(workload, v, machine, blocking=blocking, numeric=numeric)
-    world = World(machine, prog.num_ranks, trace=trace, queue=queue,
-                  topology=topology)
+    world = World(machine, prog.num_ranks, trace=trace, topology=topology)
     completion = world.run(prog.programs(), max_events=max_events)
     util = (
         world.trace.mean_utilization(completion)
@@ -178,7 +175,6 @@ def run_tiled_sharded(
     nshards: int,
     trace: bool | str = False,
     faults: FaultPlan | None = None,
-    queue: str = "auto",
     processes: bool = False,
     shard_timeout: float | None = None,
     max_shard_restarts: int = 2,
@@ -204,7 +200,7 @@ def run_tiled_sharded(
     prog = TiledProgram(workload, v, machine, blocking=blocking)
     sharded = ShardedSimulation(
         machine, prog.num_ranks, nshards, trace=trace, faults=faults,
-        queue=queue, processes=processes, shard_timeout=shard_timeout,
+        processes=processes, shard_timeout=shard_timeout,
         max_shard_restarts=max_shard_restarts, harness_chaos=harness_chaos,
     )
     factory = _TiledPrograms(workload, v, machine, blocking)
@@ -297,7 +293,6 @@ def run_tiled_robust(
     numeric: bool = False,
     trace: bool | str = False,
     max_events: int = 50_000_000,
-    queue: str = "auto",
     topology=None,
 ) -> RobustResult:
     """Simulate the workload under fault injection with a live watchdog.
@@ -313,7 +308,7 @@ def run_tiled_robust(
     prog = TiledProgram(workload, v, machine, blocking=blocking, numeric=numeric)
     world = World(
         machine, prog.num_ranks, trace=trace, faults=faults, reliable=reliable,
-        queue=queue, topology=topology,
+        topology=topology,
     )
     if watchdog is None:
         watchdog = default_watchdog(

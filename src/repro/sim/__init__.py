@@ -3,7 +3,6 @@
 from repro.sim.collectives import COLLECTIVE_TAG_BASE, CollectiveEffect
 from repro.sim.core import AllOf, Effect, Event, Process, Simulator, Timeout, WaitEvent
 from repro.sim.critical_path import CriticalPath, analyze_critical_path
-from repro.sim.equeue import CalendarQueue, EventQueue, HeapQueue
 from repro.sim.deadlock import (
     BlockedRank,
     DeadlockReport,
@@ -62,7 +61,6 @@ __all__ = [
     "BlockedRank",
     "COLLECTIVE_TAG_BASE",
     "CPU_BUSY_KINDS",
-    "CalendarQueue",
     "CollectiveEffect",
     "CriticalPath",
     "Crossbar",
@@ -70,12 +68,10 @@ __all__ = [
     "Degradation",
     "Effect",
     "Event",
-    "EventQueue",
     "FastForwardReport",
     "FatTree",
     "FaultPlan",
     "FifoResource",
-    "HeapQueue",
     "KIND_TERMS",
     "LinkFaults",
     "Mesh2D",

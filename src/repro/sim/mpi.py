@@ -65,7 +65,6 @@ implementation is preserved, so runs are bit-identical.
 
 from __future__ import annotations
 
-import warnings
 from heapq import heappush
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence
@@ -85,11 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover - deadlock imports this module
     from repro.sim.topology import Topology
 
 __all__ = ["World", "Rank", "SendRequest", "RecvRequest"]
-
-#: Escape hatch: set to ``False`` to force every world onto the
-#: allocate-per-message path (used by the pool-balance tests to prove
-#: pooled and unpooled runs are bit-identical).
-_POOLING = True
 
 
 class _StallDetected(Exception):
@@ -377,10 +371,8 @@ class World:
         num_ranks: int,
         *,
         trace: bool | str = False,
-        drop_every_nth: int = 0,
         faults: FaultPlan | None = None,
         reliable: ReliableConfig | None = None,
-        queue: str = "auto",
         topology: "Topology | None" = None,
     ):
         """``faults`` injects seeded message drop/duplicate/corrupt,
@@ -391,18 +383,11 @@ class World:
         network so dropped messages are recovered instead of wedging the
         pipeline.
 
-        ``drop_every_nth > 0`` is the deprecated legacy knob; it now
-        delegates to ``faults=FaultPlan(drop_every_nth=...)``.
-
         ``trace`` selects interval recording: ``False`` (off), ``True``
         or ``"full"`` (every interval retained — Gantt/Perfetto/critical
         path), or ``"streaming"`` (intervals folded into O(ranks)
         aggregates as they close; see
-        :class:`~repro.sim.tracing.Trace`).  ``queue`` selects the
-        simulator's event-queue backend (``"auto"`` — the default: heap,
-        upgraded to a calendar queue when the pending population warrants
-        it — or ``"heap"`` / ``"calendar"`` explicitly; bit-identical
-        results in every mode).
+        :class:`~repro.sim.tracing.Trace`).
 
         ``topology`` selects the fabric between the NICs
         (:mod:`repro.sim.topology`): ``None`` or a crossbar keeps the
@@ -411,21 +396,9 @@ class World:
         store-and-forward hops to every wire leg."""
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
-        if drop_every_nth < 0:
-            raise ValueError("drop_every_nth must be non-negative")
-        if drop_every_nth:
-            warnings.warn(
-                "World(drop_every_nth=...) is deprecated; pass "
-                "faults=FaultPlan(drop_every_nth=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if faults is not None:
-                raise ValueError("pass either drop_every_nth or faults, not both")
-            faults = FaultPlan(drop_every_nth=drop_every_nth)
         self.machine = machine
         self.num_ranks = num_ranks
-        self.sim = Simulator(queue=queue)
+        self.sim = Simulator()
         self.faults = faults
         self.trace = Trace(
             enabled=bool(trace), num_ranks=num_ranks,
@@ -450,7 +423,6 @@ class World:
         self._msg_seq = 0
         self._barrier_waiting: list[Process] = []
         self.messages_sent = 0
-        self.drop_every_nth = drop_every_nth
         self.messages_dropped = 0
         self.messages_corrupted = 0
         # MPI non-overtaking: per-(src, dst, tag) stream bookkeeping so
@@ -501,7 +473,7 @@ class World:
         # Message/wait-frame pools.  Message pooling is bypassed under a
         # reliability transport, which holds message references across
         # retransmits and dedup checks (recycling would corrupt them).
-        self._pooling = _POOLING and self.transport is None
+        self._pooling = self.transport is None
         self._msg_pool: list[_Message] = []
         self._frame_pool: list[_WaitFrame] = []
         self.pool_acquired = 0
@@ -744,10 +716,8 @@ class World:
             t = now + delay
             if t == now:
                 sim._dq.append((sim._seq, r._fire_cb, packed))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
             else:
-                sim._push((t, sim._seq, r._fire_cb, packed))
+                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
         sim._seq += 1
 
     def _unreliable_transmit(
@@ -843,10 +813,8 @@ class World:
             t = now + delay
             if t == now:
                 sim._dq.append((sim._seq, r._fire_cb, packed))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
             else:
-                sim._push((t, sim._seq, r._fire_cb, packed))
+                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
         sim._seq += 1
 
     def _route(self, entry: tuple) -> None:
@@ -953,10 +921,8 @@ class World:
             t = now + delay
             if t == now:
                 sim._dq.append((sim._seq, r._fire_cb, packed))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
             else:
-                sim._push((t, sim._seq, r._fire_cb, packed))
+                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
         sim._seq += 1
 
     def _receive_copy(self, msg: _Message) -> None:
@@ -994,10 +960,8 @@ class World:
             t = now + delay
             if t == now:
                 sim._dq.append((sim._seq, r._fire_cb, packed))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
             else:
-                sim._push((t, sim._seq, r._fire_cb, packed))
+                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
         sim._seq += 1
 
     def _deliver(self, msg: _Message) -> None:
@@ -1298,10 +1262,8 @@ class _ComputeEffect(Effect):
             t = now + seconds
             if t == now:
                 sim._dq.append((sim._seq, process._resume, result))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, process._resume, result))
             else:
-                sim._push((t, sim._seq, process._resume, result))
+                heappush(sim._heap, (t, sim._seq, process._resume, result))
         sim._seq += 1
 
 
@@ -1348,10 +1310,8 @@ class _IsendEffect(Effect):
             t = sim.now + cpu
             if t == sim.now:
                 sim._dq.append((sim._seq, w._isend_cont, packed))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, w._isend_cont, packed))
             else:
-                sim._push((t, sim._seq, w._isend_cont, packed))
+                heappush(sim._heap, (t, sim._seq, w._isend_cont, packed))
         sim._seq += 1
 
 
@@ -1430,10 +1390,8 @@ class _IrecvEffect(Effect):
             t = sim.now + a1
             if t == sim.now:
                 sim._dq.append((sim._seq, w._irecv_cont, packed))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, w._irecv_cont, packed))
             else:
-                sim._push((t, sim._seq, w._irecv_cont, packed))
+                heappush(sim._heap, (t, sim._seq, w._irecv_cont, packed))
         sim._seq += 1
 
 

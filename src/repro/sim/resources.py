@@ -125,10 +125,8 @@ class FifoResource:
             t = now + delay
             if t == now:
                 sim._dq.append((sim._seq, self._fire_cb, packed))
-            elif sim._heap is not None:
-                heappush(sim._heap, (t, sim._seq, self._fire_cb, packed))
             else:
-                sim._push((t, sim._seq, self._fire_cb, packed))
+                heappush(sim._heap, (t, sim._seq, self._fire_cb, packed))
         sim._seq += 1
 
     def _fire(self, packed: tuple) -> None:

@@ -130,16 +130,13 @@ class ShardWorld(World):
         *,
         trace: bool | str = False,
         faults: FaultPlan | None = None,
-        queue: str = "auto",
     ):
         if faults is not None and faults.drop_every_nth:
             raise ValueError(
                 "drop_every_nth counts messages globally and cannot be "
                 "sharded; use FaultPlan(drop_prob=...) instead"
             )
-        super().__init__(
-            machine, num_ranks, trace=trace, faults=faults, queue=queue
-        )
+        super().__init__(machine, num_ranks, trace=trace, faults=faults)
         if machine.network_latency <= 0.0:
             raise ValueError(
                 "sharded simulation needs machine.network_latency > 0 "
@@ -331,7 +328,6 @@ def _shard_main(conn) -> None:  # pragma: no cover - child process body
         world = ShardWorld(
             spec["machine"], spec["num_ranks"], spec["owned"],
             spec["shard_of"], trace=spec["trace"], faults=spec["faults"],
-            queue=spec["queue"],
         )
         programs = spec["factory"]()
         world.spawn_owned(programs)
@@ -528,7 +524,6 @@ class ShardedSimulation:
         *,
         trace: bool | str = False,
         faults: FaultPlan | None = None,
-        queue: str = "auto",
         processes: bool = False,
         shard_timeout: float | None = None,
         max_shard_restarts: int = 2,
@@ -540,7 +535,6 @@ class ShardedSimulation:
         self.nshards = len(self.bounds)
         self.trace = trace
         self.faults = faults
-        self.queue = queue
         self.processes = processes
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive")
@@ -612,7 +606,7 @@ class ShardedSimulation:
             return [
                 _LocalShard(ShardWorld(
                     self.machine, self.num_ranks, b, self._shard_of,
-                    trace=self.trace, faults=self.faults, queue=self.queue,
+                    trace=self.trace, faults=self.faults,
                 ))
                 for b in self.bounds
             ]
@@ -632,7 +626,6 @@ class ShardedSimulation:
                 "shard_of": self._shard_of,
                 "trace": self.trace,
                 "faults": self.faults,
-                "queue": self.queue,
                 "factory": factory,
                 "chaos": chaos,
             }, timeout=self.shard_timeout,

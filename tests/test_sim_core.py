@@ -1,8 +1,77 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim.core import AllOf, Event, Simulator, Timeout, WaitEvent
+
+
+class _ReferenceSimulator:
+    """The ``(time, seq)`` contract in its plainest form: one unsorted
+    list, the minimum popped by a linear scan, no zero-delay lane."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._pending = []
+        self._seq = 0
+
+    def schedule(self, delay, fn):
+        self._pending.append((self.now + delay, self._seq, fn))
+        self._seq += 1
+
+    def next_time(self):
+        return min(self._pending)[0] if self._pending else None
+
+    def run(self, until=None):
+        while self._pending:
+            entry = min(self._pending)
+            if until is not None and entry[0] > until:
+                self.now = until
+                break
+            self._pending.remove(entry)
+            self.now = entry[0]
+            entry[2]()
+        return self.now
+
+
+#: Delay distributions for the randomized schedules: simultaneous and
+#: zero-delay ties, tight bursts, far-future outliers, and delays below
+#: one ulp of ``now`` (they land on the current timestamp).
+_DELAYS = {
+    "uniform": lambda rng: rng.uniform(0.0, 10.0),
+    "bursty": lambda rng: 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 1e-3),
+    "farfuture": lambda rng: (rng.uniform(0.0, 1.0) if rng.random() < 0.8
+                              else rng.uniform(1e3, 1e6)),
+    "ties": lambda rng: rng.choice([0.0, 0.0, 0.5, 0.5, 1.0]),
+    "underflow": lambda rng: rng.choice([0.0, 1e-300, 0.25, 1.0]),
+}
+
+
+def _random_log(sim, mode, seed, stops=()):
+    """Run a self-rescheduling random workload on ``sim`` (optionally
+    stopping at each ``until`` in ``stops`` first); return the firing
+    log and the ``next_time()`` seen at each stop."""
+    rng = random.Random(seed)
+    draw = _DELAYS[mode]
+    log = []
+
+    def proc(name):
+        def body():
+            log.append((sim.now, name))
+            if len(log) < 500:
+                for _ in range(rng.choice([1, 1, 2])):
+                    sim.schedule(draw(rng), body)
+        return body
+
+    for k in range(6):
+        sim.schedule(draw(rng), proc(k))
+    peeks = []
+    for until in stops:
+        sim.run(until=until)
+        peeks.append(sim.next_time())
+    sim.run()
+    return log, peeks
 
 
 class TestScheduling:
@@ -47,11 +116,10 @@ class TestScheduling:
         with pytest.raises(RuntimeError, match="livelock"):
             sim.run(max_events=100)
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_max_events_exact_cutoff(self, backend):
+    def test_max_events_exact_cutoff(self):
         # Exactly max_events callbacks execute; the next one raises
         # *before* running, and event_count counts only executed ones.
-        sim = Simulator(queue=backend)
+        sim = Simulator()
         ran = []
 
         def reschedule():
@@ -64,10 +132,9 @@ class TestScheduling:
         assert len(ran) == 7
         assert sim.event_count == 7
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar"])
-    def test_max_events_boundary_completes(self, backend):
+    def test_max_events_boundary_completes(self):
         # A run needing exactly max_events callbacks must NOT raise.
-        sim = Simulator(queue=backend)
+        sim = Simulator()
         ran = []
         for k in range(7):
             sim.schedule(float(k), lambda k=k: ran.append(k))
@@ -116,6 +183,37 @@ class TestScheduling:
         sim.schedule(1.0, at_t1)
         sim.run()
         assert order == ["queued-first", "then-at"]
+
+    def test_next_time_and_pending(self):
+        sim = Simulator()
+        assert sim.next_time() is None and sim.pending == 0
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        assert sim.next_time() == 1.0 and sim.pending == 2
+
+        def at_one():
+            # A non-empty zero-delay lane answers ``now``, ahead of the
+            # queued 2.0 entry.
+            sim.schedule(0.0, lambda: None)
+            seen.append((sim.next_time(), sim.pending))
+
+        seen = []
+        sim.schedule(1.0, at_one)
+        sim.run()
+        assert seen == [(1.0, 2)]
+        assert sim.next_time() is None and sim.pending == 0
+
+    @pytest.mark.parametrize("mode", sorted(_DELAYS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_schedule_matches_reference(self, mode, seed):
+        # Heap + zero-delay lane pop in exactly the reference (time, seq)
+        # order, also when the run is cut at ``until`` instants that
+        # coincide with pending entries (ties at ``until`` still fire).
+        stops = (0.5, 1.0, 1.0, 3.25, 10.0)
+        got = _random_log(Simulator(), mode, seed, stops)
+        want = _random_log(_ReferenceSimulator(), mode, seed, stops)
+        assert got == want
+        assert len(got[0]) >= 500
 
     def test_nested_scheduling_advances_time(self):
         sim = Simulator()

@@ -175,24 +175,11 @@ class TestTimeDependentFaults:
 
 
 class TestLegacyDropKnob:
+    """``FaultPlan(drop_every_nth=n)``: the deterministic legacy knob."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            World(_machine(), 2, drop_every_nth=-1)
-
-    def test_constructor_warns_deprecated(self):
-        with pytest.deprecated_call():
-            World(_machine(), 2, drop_every_nth=3)
-
-    def test_conflicts_with_faults(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                World(_machine(), 2, drop_every_nth=2, faults=FaultPlan())
-
-    def test_shim_delegates_to_fault_plan(self):
-        with pytest.warns(DeprecationWarning):
-            w = World(_machine(), 2, drop_every_nth=3)
-        assert w.faults is not None
-        assert w.faults.drop_every_nth == 3
+            FaultPlan(drop_every_nth=-1)
 
     def test_no_drops_by_default(self):
         w = World(_machine(), 2)
@@ -207,8 +194,7 @@ class TestLegacyDropKnob:
         assert w.messages_dropped == 0
 
     def test_dropped_message_never_arrives(self):
-        with pytest.warns(DeprecationWarning):
-            w = World(_machine(), 2, drop_every_nth=1)
+        w = World(_machine(), 2, faults=FaultPlan(drop_every_nth=1))
         got = []
 
         def sender(ctx):
@@ -223,8 +209,7 @@ class TestLegacyDropKnob:
         assert not got
 
     def test_only_nth_dropped(self):
-        with pytest.warns(DeprecationWarning):
-            w = World(_machine(), 2, drop_every_nth=2)
+        w = World(_machine(), 2, faults=FaultPlan(drop_every_nth=2))
         got = []
 
         def sender(ctx):
@@ -236,26 +221,6 @@ class TestLegacyDropKnob:
         w.run([sender, receiver])
         assert got == ["a"]
         assert w.messages_dropped == 1
-
-    def test_shim_equivalent_to_fault_plan(self):
-        """The shim and an explicit FaultPlan drop exactly the same
-        messages at the same times.  (A drop leaves a permanent gap in
-        the non-overtaking stream, so only the first message — before
-        the first dropped seq — is ever deliverable.)"""
-        def sender(ctx):
-            for i in range(6):
-                yield ctx.isend(1, 10, payload=i)
-
-        def receiver(ctx):
-            return (yield ctx.recv(0, 10))
-
-        with pytest.warns(DeprecationWarning):
-            legacy = World(_machine(), 2, drop_every_nth=2)
-        explicit = World(_machine(), 2, faults=FaultPlan(drop_every_nth=2))
-        t_legacy = legacy.run([sender, receiver])
-        t_explicit = explicit.run([sender, receiver])
-        assert t_legacy == t_explicit
-        assert legacy.messages_dropped == explicit.messages_dropped == 3
 
 
 class TestPipelineWedge:

@@ -14,14 +14,13 @@ counter invariants that make leaks and double frees loud:
 * double release raises immediately;
 * a reliability transport bypasses pooling entirely (it holds message
   references across retransmits — recycling would corrupt them), and
-  the ``_POOLING`` escape hatch produces bit-identical runs.
+  forcing one world onto the unpooled path produces a bit-identical run.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.sim.mpi as mpi_mod
 from repro.kernels.workloads import scale_workload
 from repro.model.machine import pentium_cluster
 from repro.runtime.program import TiledProgram
@@ -123,17 +122,19 @@ def test_arq_transport_bypasses_pooling():
     assert world.frames_acquired == world.frames_released
 
 
-def test_pooling_escape_hatch_is_bit_identical(monkeypatch):
-    def fingerprint():
+def test_pooling_escape_hatch_is_bit_identical():
+    def fingerprint(pooling):
         world, prog = _chaos_world(
             faults=FaultPlan(seed=3, drop_prob=0.02),
         )
+        world._pooling = pooling
         outcome = world.run_outcome(prog.programs())
         return (outcome.status, outcome.completion_time,
                 world.sim.event_count, world.messages_sent,
-                outcome.messages_dropped)
+                outcome.messages_dropped, world.pool_acquired)
 
-    pooled = fingerprint()
-    monkeypatch.setattr(mpi_mod, "_POOLING", False)
-    unpooled = fingerprint()
-    assert pooled == unpooled
+    pooled = fingerprint(True)
+    unpooled = fingerprint(False)
+    assert pooled[:-1] == unpooled[:-1]
+    # The unpooled world really took the allocate-per-message path.
+    assert pooled[-1] > 0 and unpooled[-1] == 0

@@ -96,7 +96,6 @@ def test_remote_shard_close_never_hangs_on_frozen_child():
         "shard_of": shard_of,
         "trace": False,
         "faults": None,
-        "queue": "heap",
         "factory": _TiledPrograms(w, 8, m, False),
         "chaos": None,
     })

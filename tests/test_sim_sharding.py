@@ -6,8 +6,8 @@ The load-bearing property: for every shard count, a sharded run must be
 time — because receiver-side FIFO submission order is reconstructed
 exactly (deferred injection + sender-lineage tie-break, see
 :mod:`repro.sim.sharding`).  These tests pin that equivalence for both
-schedules, under fault injection, across queue backends, and through
-the multiprocessing driver.
+schedules, under fault injection, and through the multiprocessing
+driver.
 """
 
 import dataclasses
@@ -97,14 +97,10 @@ class TestBitIdentity:
             _assert_identical(res, completion, messages, terms, busy)
             assert res.nshards == nshards
             assert res.windows > 0
-
-    def test_calendar_backend_matches(self, blocking):
-        w, m = _workload(depth=32), pentium_cluster()
-        completion, messages, terms, busy = _reference(w, m,
-                                                       blocking=blocking)
-        res = run_tiled_sharded(w, V, m, blocking=blocking, nshards=3,
-                                trace="streaming", queue="calendar")
-        _assert_identical(res, completion, messages, terms, busy)
+        # Untraced: no rank aggregates, same totals.
+        res = run_tiled_sharded(w, V, m, blocking=blocking, nshards=2)
+        assert repr(res.completion_time) == repr(completion)
+        assert res.messages_sent == messages
 
     def test_full_record_union_matches(self, blocking):
         """Strongest form of bit-identity: the union of the shards' full
@@ -229,29 +225,29 @@ class TestMergedResult:
         assert res.mean_utilization() == 0.0
 
 
-class TestEngineIntegration:
-    def test_engine_run_sharded_caches(self, tmp_path):
-        from repro.experiments.cache import SimCache
-        from repro.experiments.engine import Engine
+class TestCliIntegration:
+    def test_scale_shards_always_simulates(self, capsys, monkeypatch,
+                                           tmp_path):
+        """``repro scale`` reports throughput, so a repeated sharded run
+        must simulate again instead of being served from the result
+        cache."""
+        from repro.experiments.cli import main
 
-        w, m = _workload(depth=32), pentium_cluster()
-        engine = Engine(jobs=1, cache=SimCache(tmp_path))
-        first = engine.run_sharded(w, V, m, blocking=False, nshards=2,
-                                   processes=False)
-        again = engine.run_sharded(w, V, m, blocking=False, nshards=2,
-                                   processes=False)
-        assert repr(again.completion_time) == repr(first.completion_time)
-        assert again.messages_sent == first.messages_sent
-        assert again.event_count == first.event_count
-        assert again.windows == first.windows
-        assert again.network_stats == first.network_stats
+        runs = []
+        real_run = ShardedSimulation.run
 
-    def test_engine_matches_direct(self):
-        from repro.experiments.engine import Engine
+        def spy(self, *args, **kwargs):
+            runs.append(self.nshards)
+            return real_run(self, *args, **kwargs)
 
-        w, m = _workload(depth=32), pentium_cluster()
-        ref = run_tiled(w, V, m, blocking=False)
-        res = Engine(jobs=1).run_sharded(w, V, m, blocking=False,
-                                         nshards=2, processes=False)
-        assert repr(res.completion_time) == repr(ref.completion_time)
-        assert res.messages_sent == ref.messages_sent
+        monkeypatch.setattr(ShardedSimulation, "run", spy)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["scale", "--grid", "4", "--depth", "16", "--v", "4",
+                "--shards", "2", "--in-process"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert runs == [2, 2]
+        for out in outputs:
+            assert "wall time (s)" in out and "events/sec" in out

@@ -18,7 +18,6 @@ import pytest
 
 import repro.sim.collectives as collectives_mod
 import repro.sim.core as core_mod
-import repro.sim.equeue as equeue_mod
 import repro.sim.mpi as mpi_mod
 from repro.sim.core import (
     AllOf,
@@ -29,7 +28,6 @@ from repro.sim.core import (
     Timeout,
     WaitEvent,
 )
-from repro.sim.equeue import CalendarQueue, EventQueue, HeapQueue
 from repro.sim.faults import (
     Degradation,
     FaultPlan,
@@ -61,10 +59,6 @@ HOT_PATH_CLASSES = [
     AllOf,
     Process,
     Simulator,
-    # event queues
-    EventQueue,
-    HeapQueue,
-    CalendarQueue,
     # resources / network / tracing singletons touched per event
     FifoResource,
     Network,
@@ -114,7 +108,7 @@ def test_every_effect_subclass_is_slotted():
     ``__dict__``-free — new effects are hot by construction (one instance
     per program step) and must not silently regress."""
     seen = set()
-    for mod in (core_mod, equeue_mod, mpi_mod, collectives_mod):
+    for mod in (core_mod, mpi_mod, collectives_mod):
         for _, cls in inspect.getmembers(mod, inspect.isclass):
             if (
                 issubclass(cls, Effect)
