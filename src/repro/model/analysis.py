@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from scipy.optimize import brentq, minimize_scalar
-
 from repro.model.completion import nonoverlap_steps, overlap_steps
 from repro.model.costs import StepCosts, step_costs
 from repro.model.machine import Machine
@@ -93,6 +91,9 @@ def cpu_comm_crossover(
         return hi
     if (g_lo > 0) == (g_hi > 0):
         return None
+    # Imported on first use: scipy would add ~0.6 s to every start-up.
+    from scipy.optimize import brentq
+
     return float(brentq(gap, lo, hi))
 
 
@@ -157,6 +158,9 @@ def continuous_optimum(
             steps = overlap_steps(full_upper, workload.mapped_dim)
             return steps * sc.pipelined_step
         return nonoverlap_steps(full_upper) * sc.serialized_step
+
+    # Imported on first use: scipy would add ~0.6 s to every start-up.
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(completion, bounds=(lo, hi), method="bounded")
     # Bounded Brent never evaluates the exact endpoints, so a monotone

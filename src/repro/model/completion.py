@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from scipy.optimize import minimize_scalar
-
 from repro.model.costs import StepCosts
 from repro.model.machine import Machine
 from repro.util.validation import require_positive_float, require_positive_int
@@ -195,6 +193,9 @@ def minimize_completion_over_grain(
     require_positive_float(upper, "upper")
     if upper <= lower:
         raise ValueError("upper must exceed lower")
+    # Imported on first use: scipy would add ~0.6 s to every start-up.
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(completion, bounds=(lower, upper), method="bounded")
     candidates = [
         (lower, float(completion(lower))),

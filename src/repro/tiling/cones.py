@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.ir.dependence import DependenceSet
 from repro.tiling.transform import TilingTransformation
@@ -63,6 +62,9 @@ def in_cone(
         if m.determinant() != 0:
             coeffs = m.inverse().matvec(point)
             return all(c >= 0 for c in coeffs)
+
+    # Imported on first use: scipy would add ~0.6 s to every start-up.
+    from scipy.optimize import linprog
 
     a_eq = np.array(gens, dtype=float).T
     b_eq = np.array(point, dtype=float)

@@ -29,7 +29,6 @@ from fractions import Fraction
 from math import exp, log
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.ir.dependence import DependenceSet
 from repro.tiling.communication import communication_fraction
@@ -173,6 +172,9 @@ def optimize_general_tiling(
         candidates.append(completed)
 
     # Numeric search, seeded near each baseline plus random starts.
+    # Imported on first use: scipy would add ~0.6 s to every start-up.
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     nvars = _pack(n)
     starts = [np.zeros(nvars)]

@@ -1,6 +1,9 @@
-"""UET / UET-UCT grid scheduling theory underlying the overlap schedule."""
+"""UET / UET-UCT grid scheduling theory underlying the overlap schedule.
 
-from repro.uetuct.dag import build_grid_dag, critical_path_makespan
+The networkx cross-check lives in :mod:`repro.uetuct.dag` and is not
+re-exported: networkx is a test-only dependency.
+"""
+
 from repro.uetuct.grid import (
     generalized_hyperplane,
     generalized_optimal_makespan,
@@ -14,10 +17,8 @@ from repro.uetuct.grid import (
 )
 
 __all__ = [
-    "build_grid_dag",
     "generalized_hyperplane",
     "generalized_optimal_makespan",
-    "critical_path_makespan",
     "optimal_mapping_dimension",
     "uet_makespan_dp",
     "uet_optimal_makespan",

@@ -9,12 +9,18 @@ browser.
 
 from __future__ import annotations
 
+from html import escape
 from math import log10
-from xml.sax.saxutils import escape
 
 from repro.sim.tracing import Trace
 
 __all__ = ["sweep_svg", "gantt_svg", "GANTT_COLORS"]
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` (quotes stay: text nodes only)."""
+    return escape(text, quote=False)
+
 
 GANTT_COLORS = {
     "compute": "#2f7d31",
@@ -41,7 +47,7 @@ def _svg_header(width: int, height: int, title: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}" '
         'font-family="sans-serif">',
-        f"<title>{escape(title)}</title>",
+        f"<title>{_escape(title)}</title>",
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
 
@@ -92,7 +98,7 @@ def sweep_svg(
     out = _svg_header(width, height, title or sweep_result.workload_name)
     out.append(
         f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">'
-        f"{escape(title or 'Completion time vs tile height — ' + sweep_result.workload_name)}</text>"
+        f"{_escape(title or 'Completion time vs tile height — ' + sweep_result.workload_name)}</text>"
     )
     # Axes.
     out.append(
@@ -158,7 +164,7 @@ def sweep_svg(
         )
         out.append(
             f'<text x="{ml + plot_w - 140}" y="{ly}" font-size="10">'
-            f"{escape(name)}</text>"
+            f"{_escape(name)}</text>"
         )
     out.append("</svg>")
     return "\n".join(out)
@@ -207,14 +213,14 @@ def gantt_svg(
     if title:
         out.append(
             f'<text x="{width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     for row, (label, is_cpu, records) in enumerate(rows):
         y = mt + row * row_height
         style = "" if is_cpu else ' fill="#777" font-style="italic"'
         out.append(
             f'<text x="{ml - 6}" y="{y + row_height * 0.7}" font-size="11" '
-            f'text-anchor="end"{style}>{escape(label)}</text>'
+            f'text-anchor="end"{style}>{_escape(label)}</text>'
         )
         out.append(
             f'<line x1="{ml}" y1="{y + row_height - 1}" x2="{ml + plot_w}" '
@@ -230,7 +236,7 @@ def gantt_svg(
             out.append(
                 f'<rect x="{_fmt(x)}" y="{y + 2}" width="{_fmt(w)}" '
                 f'height="{row_height - 6}" fill="{color}">'
-                f"<title>{escape(rec.kind)}{escape(term)} {escape(rec.label)} "
+                f"<title>{_escape(rec.kind)}{_escape(term)} {_escape(rec.label)} "
                 f"[{rec.start:.6g}, {rec.end:.6g}]</title></rect>"
             )
     # Legend + time axis.
