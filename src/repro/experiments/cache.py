@@ -13,8 +13,8 @@ SHA-256 of everything that determines it:
   cached);
 * every machine parameter;
 * the tile height ``V`` and the schedule;
-* how the result was produced (full simulation vs fast-forward, with the
-  fast-forward strategy version);
+* how the result was produced (full simulation, or a fault-injected
+  chaos run with its chaos version and spec);
 * ``CACHE_SCHEMA_VERSION`` — **bump this whenever simulator semantics
   change**, so stale entries are orphaned rather than served.
 
@@ -66,9 +66,8 @@ def run_key(
     """The pure-data key spec of one simulated run.
 
     ``method`` distinguishes result provenance ("sim" for full
-    simulation, "ff<version>" for fast-forwarded, "chaos<version>" for
-    fault-injected) so near-identical numbers from different engines
-    never collide.  ``extra`` merges additional determining data (e.g. a
+    simulation, "chaos<version>" for fault-injected) so numbers from
+    different kinds of run never collide.  ``extra`` merges additional determining data (e.g. a
     fault plan) into the key; ``None`` adds nothing, so keys without it
     keep their pre-existing digests.
     """

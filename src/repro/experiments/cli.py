@@ -105,8 +105,7 @@ def _engine(args: argparse.Namespace):
                 f"{len(journal)} completed runs on record",
                 file=sys.stderr,
             )
-    return Engine(jobs=args.jobs, cache=cache, fastforward=args.fast_forward,
-                  journal=journal)
+    return Engine(jobs=args.jobs, cache=cache, journal=journal)
 
 
 def _tuned_heights(workload, machine, engine,
@@ -614,11 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", metavar="JOURNAL",
         help="journal completed runs to this JSONL file and, on restart, "
              "serve them back instead of re-simulating (crash-safe resume)",
-    )
-    parser.add_argument(
-        "--fast-forward", action="store_true",
-        help="extrapolate deep pipelines from steady state "
-             "(approximate on non-periodic pipelines)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

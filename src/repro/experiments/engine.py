@@ -1,9 +1,9 @@
-"""Fast sweep engine: parallel fan-out, result cache, fast-forward.
+"""Fast sweep engine: parallel fan-out and a persistent result cache.
 
 Every figure, table and campaign in this reproduction is a batch of
 independent ``run_tiled`` calls — one per (tile height, schedule) pair.
-The :class:`Engine` accelerates such batches three ways, all composable
-and all preserving the serial path's results:
+The :class:`Engine` accelerates such batches two ways, both composable
+and both bit-identical to the serial path:
 
 1. **Parallel fan-out** — independent runs are distributed over a
    supervised worker pool (``jobs`` workers, default ``os.cpu_count()``)
@@ -12,13 +12,8 @@ and all preserving the serial path's results:
 2. **Persistent caching** — outcomes are stored in a content-addressed
    on-disk :class:`~repro.experiments.cache.SimCache`; repeated
    benchmark/campaign runs skip re-simulation entirely.
-3. **Steady-state fast-forward** (opt-in, ``fastforward=True``) — deep
-   pipelines are simulated only through fill + a few steady periods and
-   the rest extrapolated (:mod:`repro.sim.fastforward`).  Accurate to
-   float round-off on periodic pipelines, with an automatic fallback to
-   full simulation when periodicity checks fail and an optional
-   ``validate`` mode that cross-checks against full simulation on small
-   spaces.
+
+Every miss is a full simulation: the engine never extrapolates.
 
 The pool is *supervised* by default (:mod:`repro.experiments.supervisor`):
 worker crashes, hangs and preemptions are recovered by respawn + retry,
@@ -32,6 +27,11 @@ Batches are also *resumable*: give the engine a
 is appended to an fsynced JSONL file the moment it finishes; a killed
 sweep restarted with the same journal re-simulates only the missing
 runs (CLI: ``--resume``).
+
+Clean batches (:meth:`Engine.run_batch_outcomes`) and chaos batches
+(:meth:`Engine.run_chaos_batch`) share one pipeline — journal, cache,
+fan-out or in-process run, store — and differ only in their cache key
+and their worker.
 
 Workloads are shipped to worker processes as pure-data specs (kernel
 registry name + extents + grid), since kernels carry closures that do
@@ -60,11 +60,6 @@ from repro.kernels.stencil import StencilKernel, sqrt_kernel_3d, sum_kernel_2d
 from repro.kernels.workloads import StencilWorkload
 from repro.model.machine import Machine
 from repro.runtime.executor import ExecutionResult, run_tiled
-from repro.sim.fastforward import (
-    FASTFORWARD_VERSION,
-    fastforward_eligible,
-    fastforward_run,
-)
 from repro.sim.tracing import Trace
 
 from repro.experiments.cache import SimCache, key_digest, run_key
@@ -114,44 +109,10 @@ def _run_payload(
     machine: Machine,
     *,
     blocking: bool,
-    fastforward: bool,
-    validate: bool,
-    validate_max_tiles: int,
-    validate_rtol: float,
     max_events: int,
 ) -> dict:
     """The pure-data outcome of one run — the unit both the serial path
     and the pool workers execute, and the value the cache stores."""
-    if fastforward and fastforward_eligible(workload, v):
-        report = fastforward_run(workload, v, machine, blocking=blocking,
-                                 max_events=max_events)
-        payload = {
-            "completion_time": report.completion_time,
-            "messages_sent": report.messages_sent,
-            "grain": workload.grain(v),
-            "network_stats": {},
-            "method": f"ff{FASTFORWARD_VERSION}",
-            "used_fastforward": report.used_fastforward,
-            "period": report.period,
-        }
-        if (
-            report.used_fastforward
-            and validate
-            and report.total_tiles <= validate_max_tiles
-        ):
-            ref = run_tiled(workload, v, machine, blocking=blocking,
-                            max_events=max_events)
-            err = abs(report.completion_time - ref.completion_time) / (
-                ref.completion_time or 1.0
-            )
-            if err > validate_rtol:
-                payload.update(
-                    completion_time=ref.completion_time,
-                    messages_sent=ref.messages_sent,
-                    used_fastforward=False,
-                    validation_error=err,
-                )
-        return payload
     res = run_tiled(workload, v, machine, blocking=blocking,
                     max_events=max_events)
     stats = dict(res.network_stats)
@@ -164,7 +125,6 @@ def _run_payload(
         "grain": res.grain,
         "network_stats": stats,
         "method": "sim",
-        "used_fastforward": False,
     }
 
 
@@ -186,10 +146,6 @@ def _pool_worker(task: dict) -> dict:
         task["v"],
         Machine(**task["machine"]),
         blocking=task["blocking"],
-        fastforward=task["fastforward"],
-        validate=task["validate"],
-        validate_max_tiles=task["validate_max_tiles"],
-        validate_rtol=task["validate_rtol"],
         max_events=task["max_events"],
     )
 
@@ -243,18 +199,9 @@ class Engine:
     jobs:
         Worker processes for the parallel fan-out; ``None`` means
         ``os.cpu_count()``.  ``1`` runs everything in-process (caching
-        and fast-forward still apply).
+        still applies).
     cache:
         A :class:`SimCache`, or ``None`` to disable persistent caching.
-    fastforward:
-        Use steady-state extrapolation for deep pipelines (accurate to
-        float round-off on periodic pipelines, auto-fallback otherwise).
-        Off by default: the default engine is bit-identical to serial.
-    validate:
-        With ``fastforward``, cross-check extrapolated times against full
-        simulation whenever the space is small enough
-        (``validate_max_tiles``); mismatches beyond ``validate_rtol``
-        fall back to the full-simulation number.
     supervised:
         Run the worker pool under the crash/hang supervisor (default).
         ``False`` restores the plain ``ProcessPoolExecutor`` fan-out,
@@ -280,10 +227,6 @@ class Engine:
         jobs: int | None = None,
         cache: SimCache | None = None,
         *,
-        fastforward: bool = False,
-        validate: bool = False,
-        validate_max_tiles: int = 96,
-        validate_rtol: float = 1e-9,
         supervised: bool = True,
         task_timeout: float | None = None,
         retry: RetryPolicy | None = None,
@@ -295,10 +238,6 @@ class Engine:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = cache
-        self.fastforward = fastforward
-        self.validate = validate
-        self.validate_max_tiles = validate_max_tiles
-        self.validate_rtol = validate_rtol
         self.supervised = supervised
         self.task_timeout = task_timeout
         self.retry = retry
@@ -323,8 +262,8 @@ class Engine:
     ) -> ExecutionResult:
         """Engine-accelerated drop-in for :func:`repro.runtime.executor.run_tiled`.
 
-        Numeric and traced runs bypass the cache and fast-forward (their
-        outputs are not scalar) and run in-process.
+        Numeric and traced runs bypass the cache (their outputs are not
+        scalar) and run in-process.
         """
         if numeric or trace:
             return run_tiled(workload, v, machine, blocking=blocking,
@@ -369,42 +308,17 @@ class Engine:
         """Like :meth:`run_batch`, but never raises for failed runs:
         every pair gets a structured :class:`RunReport` (source, result,
         supervisor outcome) in input order."""
-        specs = [
-            run_key(workload, v, machine, blocking=blocking,
-                    method=self._method(workload, v))
-            for v, blocking in pairs
-        ]
-        digests = [key_digest(spec) for spec in specs]
-        payloads: list[dict | None] = [None] * len(pairs)
-        sources = ["sim"] * len(pairs)
-        for k, (spec, digest) in enumerate(zip(specs, digests)):
-            if self.journal is not None:
-                payloads[k] = self.journal.get(digest)
-                if payloads[k] is not None:
-                    sources[k] = "journal"
-                    continue
-            if self.cache is not None:
-                payloads[k] = self.cache.get(spec)
-                if payloads[k] is not None:
-                    sources[k] = "cache"
-                    if self.journal is not None:
-                        self.journal.record(digest, payloads[k])
-
-        miss_idx = [k for k, p in enumerate(payloads) if p is None]
-        outcomes: list[TaskOutcome | None] = [None] * len(pairs)
-        fresh = self._execute(workload, machine,
-                              [pairs[k] for k in miss_idx],
-                              [digests[k] for k in miss_idx], max_events)
-        for k, out in zip(miss_idx, fresh):
-            outcomes[k] = out
-            if not out.ok:
-                continue
-            payloads[k] = out.result
-            if self.cache is not None:
-                self.cache.put(specs[k], out.result)
-            if self.journal is not None:
-                self.journal.record(digests[k], out.result)
-
+        keys = [run_key(workload, v, machine, blocking=blocking)
+                for v, blocking in pairs]
+        digests, sources, payloads, outcomes = self._serve_run_store(
+            workload, keys, _pool_worker,
+            task=lambda k: self._task(workload, machine, *pairs[k],
+                                      max_events),
+            local=lambda k: _run_payload(
+                workload, pairs[k][0], machine, blocking=pairs[k][1],
+                max_events=max_events,
+            ),
+        )
         return [
             RunReport(
                 v=v,
@@ -439,7 +353,8 @@ class Engine:
         cache and fan out exactly like clean runs; the spec itself is
         folded into the cache key (``method="chaos<version>"``).  Numeric
         results cross process boundaries as SHA-256 digests, never as
-        arrays.
+        arrays.  Like :meth:`run_batch`, raises :class:`PoisonTaskError`
+        only after every healthy run has been cached and journaled.
         """
         from repro.experiments.chaos import CHAOS_VERSION, chaos_payload
 
@@ -448,17 +363,63 @@ class Engine:
                     method=f"chaos{CHAOS_VERSION}", extra=spec)
             for spec in specs
         ]
+        _, _, payloads, outcomes = self._serve_run_store(
+            workload, keys, _chaos_pool_worker,
+            task=lambda k: {
+                **self._task(workload, machine, v, specs[k]["blocking"],
+                             max_events),
+                "spec": specs[k],
+            },
+            local=lambda k: chaos_payload(workload, v, machine, specs[k],
+                                          max_events=max_events),
+        )
+        failed = [o for o in outcomes if o is not None and not o.ok]
+        if failed:
+            raise PoisonTaskError(failed)
+        return payloads  # type: ignore[return-value]
+
+    # -- internals -----------------------------------------------------------
+
+    def _serve_run_store(
+        self,
+        workload: StencilWorkload,
+        keys: Sequence[dict],
+        worker: Callable[[dict], dict],
+        *,
+        task: Callable[[int], dict],
+        local: Callable[[int], dict],
+    ) -> tuple[list[str], list[str], list[dict | None],
+               list[TaskOutcome | None]]:
+        """The one batch pipeline behind clean and chaos batches.
+
+        Serves each run-key spec in ``keys`` from the journal, else the
+        cache; runs the misses — ``worker(task(k))`` fanned over the
+        pool when ``jobs > 1``, there are several misses and the kernel
+        is registered, else ``local(k)`` in-process — and stores every
+        healthy fresh payload in the cache and the journal.  In-process
+        runs are unsupervised: a failure there raises, as it would in a
+        serial run.
+
+        Returns, per key in input order: the digest, the source
+        (``"journal"``, ``"cache"`` or ``"sim"``), the payload (``None``
+        exactly when the run failed) and the supervisor outcome
+        (``None`` for served runs).
+        """
         digests = [key_digest(key) for key in keys]
-        payloads: list[dict | None] = [None] * len(specs)
+        payloads: list[dict | None] = [None] * len(keys)
+        sources = ["sim"] * len(keys)
         for k, (key, digest) in enumerate(zip(keys, digests)):
             if self.journal is not None:
                 payloads[k] = self.journal.get(digest)
                 if payloads[k] is not None:
+                    sources[k] = "journal"
                     continue
             if self.cache is not None:
                 payloads[k] = self.cache.get(key)
-                if payloads[k] is not None and self.journal is not None:
-                    self.journal.record(digest, payloads[k])
+                if payloads[k] is not None:
+                    sources[k] = "cache"
+                    if self.journal is not None:
+                        self.journal.record(digest, payloads[k])
 
         miss_idx = [k for k, p in enumerate(payloads) if p is None]
         if (
@@ -466,38 +427,25 @@ class Engine:
             and len(miss_idx) > 1
             and workload.kernel.name in _KERNEL_FACTORIES
         ):
-            tasks = []
-            for k in miss_idx:
-                task = self._task(workload, machine, v, specs[k]["blocking"],
-                                  max_events)
-                task["spec"] = specs[k]
-                tasks.append(task)
-            outcomes = self._pooled(_chaos_pool_worker, tasks,
-                                    [digests[k] for k in miss_idx])
-            bad = [o for o in outcomes if not o.ok]
-            if bad:
-                raise PoisonTaskError(bad)
-            fresh = [o.result for o in outcomes]
+            fresh = self._pooled(worker, [task(k) for k in miss_idx],
+                                 [digests[k] for k in miss_idx])
         else:
             fresh = [
-                chaos_payload(workload, v, machine, specs[k],
-                              max_events=max_events)
-                for k in miss_idx
+                TaskOutcome(index=i, key=digests[k], status="ok",
+                            result=local(k), attempts=1, history=("ok",))
+                for i, k in enumerate(miss_idx)
             ]
-        for k, payload in zip(miss_idx, fresh):
-            payloads[k] = payload
+        outcomes: list[TaskOutcome | None] = [None] * len(keys)
+        for k, out in zip(miss_idx, fresh):
+            outcomes[k] = out
+            if not out.ok:
+                continue
+            payloads[k] = out.result
             if self.cache is not None:
-                self.cache.put(keys[k], payload)
+                self.cache.put(keys[k], out.result)
             if self.journal is not None:
-                self.journal.record(digests[k], payload)
-        return payloads  # type: ignore[return-value]
-
-    # -- internals -----------------------------------------------------------
-
-    def _method(self, workload: StencilWorkload, v: int) -> str:
-        if self.fastforward and fastforward_eligible(workload, v):
-            return f"ff{FASTFORWARD_VERSION}"
-        return "sim"
+                self.journal.record(digests[k], out.result)
+        return digests, sources, payloads, outcomes
 
     def _task(self, workload: StencilWorkload, machine: Machine,
               v: int, blocking: bool, max_events: int) -> dict:
@@ -510,10 +458,6 @@ class Engine:
             "machine": asdict(machine),
             "v": v,
             "blocking": blocking,
-            "fastforward": self.fastforward,
-            "validate": self.validate,
-            "validate_max_tiles": self.validate_max_tiles,
-            "validate_rtol": self.validate_rtol,
             "max_events": max_events,
         }
 
@@ -538,40 +482,6 @@ class Engine:
             outcomes = pool.run(tasks, keys=list(keys))
         self.supervisor_stats.merge(pool.stats)
         return outcomes
-
-    def _execute(
-        self,
-        workload: StencilWorkload,
-        machine: Machine,
-        pairs: Sequence[tuple[int, bool]],
-        keys: Sequence[str],
-        max_events: int,
-    ) -> list[TaskOutcome]:
-        """Simulate every pair; one :class:`TaskOutcome` per pair.
-
-        In-process execution (single job, lone pair, or unregistered
-        kernel) is unsupervised — a failure there raises naturally, as
-        it would have in a serial run."""
-        if (
-            self.jobs > 1
-            and len(pairs) > 1
-            and workload.kernel.name in _KERNEL_FACTORIES
-        ):
-            tasks = [self._task(workload, machine, v, blocking, max_events)
-                     for v, blocking in pairs]
-            return self._pooled(_pool_worker, tasks, keys)
-        return [
-            TaskOutcome(
-                index=i, key=key, status="ok", attempts=1, history=("ok",),
-                result=_run_payload(
-                    workload, v, machine, blocking=blocking,
-                    fastforward=self.fastforward, validate=self.validate,
-                    validate_max_tiles=self.validate_max_tiles,
-                    validate_rtol=self.validate_rtol, max_events=max_events,
-                ),
-            )
-            for i, ((v, blocking), key) in enumerate(zip(pairs, keys))
-        ]
 
     def _to_result(self, workload: StencilWorkload, v: int, blocking: bool,
                    payload: dict) -> ExecutionResult:

@@ -142,7 +142,7 @@ def sweep(
     2×len(heights) independent simulations across worker processes and/or
     serves them from the persistent result cache; without one, runs are
     executed serially in-process.  Engine results are bit-identical to
-    the serial path unless the engine enables fast-forwarding.
+    the serial path.
     """
     if heights is None:
         heights = default_heights(workload)

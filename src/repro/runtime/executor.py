@@ -84,9 +84,8 @@ def run_tiled(
     gathered global array for verification.
 
     ``engine`` (a :class:`repro.experiments.engine.Engine`) routes the
-    run through the fast sweep engine — persistent result cache and
-    optional steady-state fast-forward; numeric, traced, and
-    topology-routed runs always execute directly.
+    run through the fast sweep engine's persistent result cache;
+    numeric, traced, and topology-routed runs always execute directly.
 
     ``trace`` accepts ``False``/``True``/``"full"``/``"streaming"`` (see
     :class:`~repro.sim.mpi.World`) — results are bit-identical across

@@ -10,11 +10,6 @@ from repro.sim.deadlock import (
     WatchdogConfig,
     diagnose,
 )
-from repro.sim.fastforward import (
-    FastForwardReport,
-    fastforward_eligible,
-    fastforward_run,
-)
 from repro.sim.faults import (
     Degradation,
     FaultPlan,
@@ -68,7 +63,6 @@ __all__ = [
     "Degradation",
     "Effect",
     "Event",
-    "FastForwardReport",
     "FatTree",
     "FaultPlan",
     "FifoResource",
@@ -106,8 +100,6 @@ __all__ = [
     "analyze_critical_path",
     "compute_starts",
     "diagnose",
-    "fastforward_eligible",
-    "fastforward_run",
     "make_topology",
     "merged_length",
     "shard_bounds",

@@ -25,7 +25,7 @@ def _workload():
 
 
 PAYLOAD = {"completion_time": 1.25, "messages_sent": 7, "grain": 128,
-           "network_stats": {}, "method": "sim", "used_fastforward": False}
+           "network_stats": {}, "method": "sim"}
 
 
 class TestRunKey:
@@ -44,7 +44,25 @@ class TestRunKey:
         base = run_key(w, 64, m, blocking=True)
         assert run_key(w, 32, m, blocking=True) != base
         assert run_key(w, 64, m, blocking=False) != base
-        assert run_key(w, 64, m, blocking=True, method="ff1") != base
+        assert run_key(w, 64, m, blocking=True, method="chaos1") != base
+
+    def test_reduced_exp_i_digests_are_pinned(self):
+        """Existing caches and journals stay valid only while these
+        digests hold: changing them must be deliberate (and bump
+        ``CACHE_SCHEMA_VERSION``)."""
+        from repro.experiments.cli import _workload as cli_workload
+
+        w, m = cli_workload("i", full=False), pentium_cluster()
+        assert {
+            blocking: key_digest(run_key(w, 64, m, blocking=blocking,
+                                         method="sim"))
+            for blocking in (True, False)
+        } == {
+            True: "da5ef2d27719eb9e8feaad5bf5fb0187"
+                  "5b500cebdffdf126bfaaac3847ea4b84",
+            False: "9721e17af8b062db58b37f0256a5d5d9"
+                   "040da1d86e438a8a5ed6ea32bd3c5e52",
+        }
 
 
 class TestSimCache:

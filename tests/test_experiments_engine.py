@@ -1,4 +1,4 @@
-"""Tests for the fast sweep engine (fan-out, caching, fast-forward)."""
+"""Tests for the fast sweep engine (fan-out, caching, resume, supervision)."""
 
 import dataclasses
 
@@ -107,57 +107,6 @@ class TestCacheIntegration:
         )
         assert warm.cache.stats.hits == len(PAIRS)
         assert warm.cache.stats.misses == 0
-
-    def test_fastforward_results_keyed_separately(self, tmp_path, machine):
-        w = StencilWorkload(
-            "deep", IterationSpace.from_extents([8, 8, 8192]),
-            sqrt_kernel_3d(), (2, 2, 1), 2,
-        )
-        pairs = [(16, True)]
-        plain = Engine(jobs=1, cache=SimCache(tmp_path))
-        fast = Engine(jobs=1, cache=SimCache(tmp_path), fastforward=True)
-        a = plain.run_batch(w, machine, pairs)[0]
-        b = fast.run_batch(w, machine, pairs)[0]
-        # Both simulated (no cross-served entries despite the shared dir):
-        assert plain.cache.stats.misses == 1
-        assert fast.cache.stats.misses == 1
-        assert abs(a.completion_time - b.completion_time) < 1e-9 * a.completion_time
-
-
-class TestFastForwardEngine:
-    def test_shallow_runs_unaffected(self, machine, serial_results):
-        # Every PAIRS run is too shallow for fast-forward: results stay
-        # bit-identical even with it enabled.
-        engine = Engine(jobs=1, fastforward=True)
-        _assert_identical(
-            engine.run_batch(_workload(), machine, PAIRS), serial_results
-        )
-
-    def test_deep_run_accelerated_and_accurate(self, machine):
-        w = StencilWorkload(
-            "deep", IterationSpace.from_extents([8, 8, 8192]),
-            sqrt_kernel_3d(), (2, 2, 1), 2,
-        )
-        ref = run_tiled(w, 16, machine, blocking=True)
-        got = Engine(jobs=1, fastforward=True).run_tiled(
-            w, 16, machine, blocking=True
-        )
-        rel = abs(got.completion_time - ref.completion_time) / ref.completion_time
-        assert rel < 1e-9
-
-    def test_validate_mode_guards_extrapolation(self, machine):
-        w = StencilWorkload(
-            "deep", IterationSpace.from_extents([8, 8, 8192]),
-            sqrt_kernel_3d(), (2, 2, 1), 2,
-        )
-        ref = run_tiled(w, 16, machine, blocking=True)
-        engine = Engine(jobs=1, fastforward=True, validate=True,
-                        validate_max_tiles=1024)
-        got = engine.run_tiled(w, 16, machine, blocking=True)
-        # Validation re-simulates and falls back on mismatch, so the
-        # result is within the validation tolerance by construction.
-        rel = abs(got.completion_time - ref.completion_time) / ref.completion_time
-        assert rel <= engine.validate_rtol
 
 
 class TestArguments:
@@ -294,3 +243,54 @@ class TestSupervisedEngine:
             )
             assert len(excinfo.value.outcomes) == len(PAIRS)
             assert journal.stats.recorded == 0
+
+    @pytest.mark.resilience
+    def test_poisoned_chaos_batch_journals_healthy_runs_first(
+            self, machine, tmp_path):
+        """A quarantined chaos spec surfaces only after the healthy
+        specs of its batch are journaled, so a resume does not simulate
+        them again."""
+        from repro.experiments.cache import key_digest, run_key
+        from repro.experiments.chaos import CHAOS_VERSION, chaos_spec
+        from repro.experiments.journal import RunJournal
+        from repro.experiments.supervisor import (
+            HarnessChaosPlan,
+            PoisonTaskError,
+            RetryPolicy,
+        )
+
+        w = StencilWorkload(
+            "chaos-w", IterationSpace.from_extents([8, 8, 32]),
+            sqrt_kernel_3d(), (2, 2, 1), 2,
+        )
+        v = 8
+        specs = [chaos_spec(blocking=b, numeric=n)
+                 for b in (True, False) for n in (True, False)]
+        digests = [
+            key_digest(run_key(w, v, machine, blocking=s["blocking"],
+                               method=f"chaos{CHAOS_VERSION}", extra=s))
+            for s in specs
+        ]
+        retry = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02)
+        for seed in range(256):
+            plan = HarnessChaosPlan(seed=seed, kill_prob=0.5,
+                                    max_faults=10**9)
+            poisoned = {
+                d for d in digests
+                if all(plan.worker_fate(d, a) == "kill"
+                       for a in range(retry.max_attempts))
+            }
+            healthy = [d for d in digests if plan.worker_fate(d, 0) is None]
+            if poisoned and healthy:
+                break
+        else:
+            pytest.fail("no seed poisons one chaos spec and spares another")
+
+        with RunJournal(tmp_path / "j.jsonl") as journal:
+            engine = Engine(jobs=2, journal=journal, harness_chaos=plan,
+                            retry=retry)
+            with pytest.raises(PoisonTaskError) as excinfo:
+                engine.run_chaos_batch(w, v, machine, specs)
+            assert {o.key for o in excinfo.value.outcomes} == poisoned
+            for digest in healthy:
+                assert journal.get(digest) is not None
