@@ -16,9 +16,9 @@ profile is appended (it shows time heap operations spend *inside* C
 code, which cProfile folds into the caller); the dependency is purely
 optional and never required.
 
-The lane table is the companion to ``scripts/bench_core.py``: the bench
-measures each lane in isolation, the profile shows the mix a real run
-produces.
+The lane table is the companion to the ``core`` group of
+``scripts/bench.py``: the bench measures each lane in isolation, the
+profile shows the mix a real run produces.
 """
 
 from __future__ import annotations

@@ -179,7 +179,7 @@ def paper_experiments() -> tuple[StencilWorkload, StencilWorkload, StencilWorklo
 def scale_workload(grid: int, depth: int = 128) -> StencilWorkload:
     """A ``grid × grid`` processor mesh (``grid²`` ranks) over a
     ``grid × grid × depth`` space with the §5 sqrt kernel — the
-    cluster-scale benchmark family (``scripts/bench_scale.py`` and the
+    cluster-scale benchmark family (``scripts/bench.py scale`` and the
     ``scale`` CLI command): one owned point per rank per step keeps the
     per-rank work tiny, so throughput is dominated by the event loop."""
     return StencilWorkload(
