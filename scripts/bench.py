@@ -24,6 +24,10 @@ speed is events/s where the lane counts events, otherwise the inverse
 of the lane's wall time.  A core lane fails when its median ratio is
 below the ``core.speed_ratio_vs_base`` bound.  The reference is the base
 revision on the same host, never a number committed from another host.
+Next to each side's run of a lane, every pair also runs a null lane
+(``NULL_LANE``): the pure-Python heap loop of ``perfbench/hostspeed.py``,
+which imports nothing from ``repro``.  Its paired ratios measure the
+host's drift alone and print beside the lane's own; they gate nothing.
 
 Exit status is 1 when any gate fails or any lane crashes.
 """
@@ -51,6 +55,7 @@ REPO = Path(__file__).resolve().parent.parent
 GROUPS = ("core", "scale", "collectives", "resilience", "sweep", "trace",
           "tune", "chaos")
 PAIRS = 5
+NULL_LANE = "null.heap_loop"
 TUNE_BUDGET = 0.10
 
 #: Every gate, as ``group.name -> (comparison, bound)``.  Lanes look their
@@ -271,6 +276,19 @@ def _core(run, n):
     return {"events": events, "wall_s": wall,
             "events_per_sec": events / wall,
             "ns_per_event": 1e9 * wall / events}, []
+
+
+def _null(steps):
+    """The A/B null lane: the host-speed probe's heap loop, timed like a
+    core lane.  Nothing from ``repro`` is imported, so no change to the
+    program can move it."""
+    sys.path.insert(0, str(REPO))
+    from perfbench.hostspeed import _loop
+
+    metrics = _core(lambda n: (n, _loop(n)), steps)
+    if any(m == "repro" or m.startswith("repro.") for m in sys.modules):
+        raise RuntimeError("the null lane imported repro")
+    return metrics
 
 
 # -- scale: cluster-scale runs --------------------------------------------------
@@ -667,12 +685,18 @@ def registry(quick: bool) -> dict:
 
 def _child(name: str, quick: bool) -> None:
     """Run one lane in this process and print its record as JSON."""
-    import repro
-    (metrics, gates), wall = _clock(registry(quick)[name])
+    where = {}
+    if name == NULL_LANE:
+        lane = partial(_null, 20_000 if quick else 100_000)
+    else:
+        import repro
+        lane = registry(quick)[name]
+        where["repro"] = str(Path(repro.__file__).resolve().parent)
+    (metrics, gates), wall = _clock(lane)
     print(json.dumps({
         "metrics": metrics, "gates": gates, "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "repro": str(Path(repro.__file__).resolve().parent),
+        **where,
     }))
 
 
@@ -687,7 +711,7 @@ def _spawn(name: str, quick: bool, checkout: Path) -> dict:
         return {"error": f"[{checkout}]\n{out.stderr[-4000:]}"}
     rec = json.loads(out.stdout.splitlines()[-1])
     expected = (checkout / "src" / "repro").resolve()
-    if Path(rec.pop("repro")) != expected:
+    if name != NULL_LANE and Path(rec.pop("repro")) != expected:
         raise RuntimeError(f"lane {name} did not import repro from {expected}")
     return rec
 
@@ -697,22 +721,30 @@ def _speed(rec: dict) -> float:
 
 
 def _ab(name: str, quick: bool, base: Path) -> dict:
-    """``PAIRS`` alternating base/change runs of one lane; the change's
-    last record plus the paired speed ratios."""
-    ratios = []
+    """``PAIRS`` alternating base/change runs of one lane, each followed
+    by a run of the null lane on the same side; the change's last record
+    plus the paired speed ratios of the lane and of the null lane."""
+    ratios, null_ratios = [], []
     for i in range(PAIRS):
         sides = (base, REPO) if i % 2 == 0 else (REPO, base)
-        runs = {side: _spawn(name, quick, side) for side in sides}
-        failed = next((r for r in runs.values() if "error" in r), None)
+        runs, nulls = {}, {}
+        for side in sides:
+            runs[side] = _spawn(name, quick, side)
+            nulls[side] = _spawn(NULL_LANE, quick, side)
+        failed = next((r for r in (*runs.values(), *nulls.values())
+                       if "error" in r), None)
         if failed:
             return failed
         ratios.append(_speed(runs[REPO]) / _speed(runs[base]))
+        null_ratios.append(_speed(nulls[REPO]) / _speed(nulls[base]))
     rec = runs[REPO]
     median = statistics.median(ratios)
     rec["ab"] = {"metric": ("events_per_sec" if "events_per_sec" in rec["metrics"]
                             else "1/wall_s"),
                  "ratios": ratios, "median_ratio": median,
-                 "range": [min(ratios), max(ratios)]}
+                 "range": [min(ratios), max(ratios)],
+                 "null_ratios": null_ratios,
+                 "null_median": statistics.median(null_ratios)}
     if name.startswith("core."):
         rec["gates"].append(gate("core.speed_ratio_vs_base", median))
     return rec
@@ -748,8 +780,11 @@ def _summary(name: str, rec: dict) -> str:
     head = (f"{m['events_per_sec']:,.0f} ev/s" if "events_per_sec" in m
             else f"{rec['wall_s']:.2f} s")
     if "ab" in rec:
-        lo, hi = rec["ab"]["range"]
-        head += f", {rec['ab']['median_ratio']:.2f}x vs base ({lo:.2f}-{hi:.2f})"
+        ab = rec["ab"]
+        lo, hi = ab["range"]
+        head += (f", {ab['median_ratio']:.2f}x vs base ({lo:.2f}-{hi:.2f}), "
+                 f"null {ab['null_median']:.2f}x "
+                 f"({min(ab['null_ratios']):.2f}-{max(ab['null_ratios']):.2f})")
     lines = [f"{name}: {head}, rss {rec['peak_rss_mb']:.0f} MB"]
     lines += [f"  {'ok  ' if g['ok'] else 'FAIL'} {g['name']} = {g['value']} "
               f"({g['op']} {g['bound']}){' - ' + g['reason'] if 'reason' in g else ''}"

@@ -64,19 +64,6 @@ def _consumers(
     return out
 
 
-def _producers(
-    schedule: TileSchedule, tile: Sequence[int]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(src_rank, producer_tile) pairs feeding ``tile`` across processors."""
-    ts = schedule.tiled_space
-    out = []
-    for d in cross_processor_deps(schedule):
-        producer = tuple(a - b for a, b in zip(tile, d))
-        if ts.contains(producer):
-            out.append((schedule.mapping.rank_of_tile(producer), producer))
-    return out
-
-
 def expand_events(schedule: TileSchedule) -> dict[tuple[int, int], StepEvents]:
     """Expand the schedule into ``(rank, step) → StepEvents``.
 

@@ -49,6 +49,10 @@ none of that survives the message, so the hot path now recycles instead:
   (``_acquire_msg`` / ``_release_msg``) and carry their pipeline-stage
   callbacks as bound methods cached once at construction — scheduling a
   stage appends an existing object instead of building a closure.
+* Every hardware leg (B3, B4, B1, B2) is one
+  :meth:`~repro.sim.resources.FifoResource.submit_call`, and every CPU
+  charge one :meth:`~repro.sim.core.Simulator.schedule_call`: the
+  kernel's allocation-free primitives, called rather than copied here.
 * ``wait``/``waitall`` bookkeeping lives in pooled :class:`_WaitFrame`
   records rather than per-call closures.
 * The per-size cost model (A1 / kernel copy / wire time) is memoised on
@@ -65,14 +69,13 @@ implementation is preserved, so runs are bit-identical.
 
 from __future__ import annotations
 
-from heapq import heappush
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
 from repro.model.machine import Machine
-from repro.sim.core import Effect, Event, Process, Simulator, Timeout
+from repro.sim.core import Effect, Event, Process, Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network
 from repro.sim.reliable import ReliableConfig, ReliableStats, ReliableTransport
@@ -178,10 +181,6 @@ class _Message:
         self.cb_on_arrival = self._on_arrival
         self.cb_after_rx_copy = self._after_rx_copy
 
-    @property
-    def stream(self) -> tuple[int, int, int]:
-        return self.stream_key
-
     # -- pipeline-stage callbacks --------------------------------------------
 
     def _after_kernel_copy(self, interval: tuple) -> None:
@@ -230,9 +229,9 @@ class _Message:
         self.world._receive_copy(self)
 
     def _on_arrival(self, interval: tuple) -> None:
-        """Receiver NIC leg done — the inlined body of
-        :meth:`Network.rx_leg`'s ``on_arrival`` closure, followed by the
-        same one scheduler hop to the receive-side kernel copy."""
+        """Receiver NIC leg done (canonical deferred-RX path): trace the
+        B1 and in-flight intervals, record the wire latency, then one
+        scheduler hop to the receive-side kernel copy."""
         w = self.world
         rx_start, arr_end = interval
         tr = w._tr
@@ -244,35 +243,17 @@ class _Message:
                 tr.add(self.src, "in_flight", self.rx_tx_start, arr_end,
                        self.rx_label, resource="link", term="")
         w.network._record_latency(arr_end - self.tx_submit)
-        sim = w.sim
-        sim._dq.append((sim._seq, w._rcv_cb, self))
-        sim._seq += 1
+        w.sim.schedule_call(0.0, w._rcv_cb, self)
 
     def _after_rx_copy(self, interval: tuple) -> None:
-        """B2 done: deliver in stream order.
-
-        This is :meth:`World._deliver` inlined — the in-order common case
-        releases directly; out-of-order arrivals are held back and their
-        eventual release drains through the same loop.
-        """
+        """B2 done: deliver in stream order."""
         w = self.world
         tr = w._tr
         if tr is not None and self.kcopy > 0:
             start, end = interval
             tr.add(self.dst, "kernel_copy", start, end, f"<-{self.src}",
                    resource="dma", term="B2")
-        key = self.stream_key
-        se = w._stream_expected
-        if self.stream_seq != se.get(key, 1):
-            w._stream_held.setdefault(key, {})[self.stream_seq] = self
-            return
-        w._release(self)
-        held = w._stream_held.get(key)
-        while held:
-            successor = held.pop(se[key], None)
-            if successor is None:
-                break
-            w._release(successor)
+        w._deliver(self)
 
 
 class SendRequest:
@@ -679,8 +660,7 @@ class World:
     def _launch_message(self, msg: _Message, send_req: SendRequest | None,
                         on_sent: Callable[[tuple[float, float]], None] | None) -> None:
         """Start the B3 → B4/B1 → B2 pipeline for a prepared message."""
-        sim = self.sim
-        msg.launch_time = sim.now
+        msg.launch_time = self.sim.now
         if self._dma_on:
             c = self._cost_memo.get(msg.nbytes)
             b3 = c[1] if c is not None else self._cost(msg.nbytes)[1]
@@ -689,36 +669,7 @@ class World:
         msg.kcopy = b3
         msg.send_req = send_req
         msg.on_sent = on_sent
-        # Inlined self.dma[msg.src].submit_call(b3, msg.cb_after_kernel_copy)
-        # — one of the four per-message FIFO legs (see FifoResource).
-        if b3 < 0:
-            raise ValueError(f"negative job duration: {b3}")
-        r = self.dma[msg.src]
-        free = r._free_at
-        if r.servers == 1:
-            k = 0
-            start = free[0]
-        else:
-            k = min(range(r.servers), key=free.__getitem__)
-            start = free[k]
-        now = sim.now
-        if now > start:
-            start = now
-        end = start + b3
-        free[k] = end
-        r.busy_time += b3
-        r.jobs_served += 1
-        delay = end - now
-        packed = (msg.cb_after_kernel_copy, start, end)
-        if delay == 0.0:
-            sim._dq.append((sim._seq, r._fire_cb, packed))
-        else:
-            t = now + delay
-            if t == now:
-                sim._dq.append((sim._seq, r._fire_cb, packed))
-            else:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
-        sim._seq += 1
+        self.dma[msg.src].submit_call(b3, msg.cb_after_kernel_copy)
 
     def _unreliable_transmit(
         self, msg: _Message,
@@ -786,36 +737,7 @@ class World:
             wire *= faults.wire_factor(msg.src, msg.dst, msg.tx_submit)
         msg.cur_wire = wire
         msg.extra_lat = extra
-        # Inlined net.tx[msg.src].submit_call(wire, msg.cb_after_tx).
-        if wire < 0:
-            raise ValueError(f"negative job duration: {wire}")
-        sim = self.sim
-        r = net.tx[msg.src]
-        free = r._free_at
-        if r.servers == 1:
-            k = 0
-            start = free[0]
-        else:
-            k = min(range(r.servers), key=free.__getitem__)
-            start = free[k]
-        now = sim.now
-        if now > start:
-            start = now
-        end = start + wire
-        free[k] = end
-        r.busy_time += wire
-        r.jobs_served += 1
-        delay = end - now
-        packed = (msg.cb_after_tx, start, end)
-        if delay == 0.0:
-            sim._dq.append((sim._seq, r._fire_cb, packed))
-        else:
-            t = now + delay
-            if t == now:
-                sim._dq.append((sim._seq, r._fire_cb, packed))
-            else:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
-        sim._seq += 1
+        net.tx[msg.src].submit_call(wire, msg.cb_after_tx)
 
     def _route(self, entry: tuple) -> None:
         """Deliver a deferred receiver leg to the world hosting its
@@ -863,19 +785,7 @@ class World:
          nbytes, wire, not_before, tx_start, msg_label) = entry
         net = self.network
         net.rx_bytes[dst] += nbytes
-        # Inlined _acquire_msg().
-        if self._pooling:
-            self.pool_acquired += 1
-            pool = self._msg_pool
-            if pool:
-                msg = pool.pop()
-                msg.in_use = True
-            else:
-                self.pool_created += 1
-                msg = _Message(0, 0, 0, None, 0.0, 0, 0, world=self)
-                msg.in_use = True
-        else:
-            msg = _Message(0, 0, 0, None, 0.0, 0, 0, world=self)
+        msg = self._acquire_msg()
         msg.src = src
         msg.dst = dst
         msg.tag = tag
@@ -890,40 +800,8 @@ class World:
         msg.rx_tx_start = tx_start
         msg.rx_label = (msg_label or f"{src}->{dst}") \
             if self._tr is not None else ""
-        # Inlined net.rx[dst].submit_call(wire, msg.cb_on_arrival,
-        # not_before=not_before) — the only leg with an earliest-start
-        # bound (the injection instant).
-        if wire < 0:
-            raise ValueError(f"negative job duration: {wire}")
-        sim = self.sim
-        r = net.rx[dst]
-        free = r._free_at
-        if r.servers == 1:
-            k = 0
-            start = free[0]
-        else:
-            k = min(range(r.servers), key=free.__getitem__)
-            start = free[k]
-        if not_before > start:
-            start = not_before
-        now = sim.now
-        if now > start:
-            start = now
-        end = start + wire
-        free[k] = end
-        r.busy_time += wire
-        r.jobs_served += 1
-        delay = end - now
-        packed = (msg.cb_on_arrival, start, end)
-        if delay == 0.0:
-            sim._dq.append((sim._seq, r._fire_cb, packed))
-        else:
-            t = now + delay
-            if t == now:
-                sim._dq.append((sim._seq, r._fire_cb, packed))
-            else:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
-        sim._seq += 1
+        # The only leg with an earliest-start bound: the injection instant.
+        net.rx[dst].submit_call(wire, msg.cb_on_arrival, not_before)
 
     def _receive_copy(self, msg: _Message) -> None:
         """Receive-side kernel copy (B2) then stream-ordered delivery."""
@@ -933,36 +811,7 @@ class World:
         else:
             b2 = 0.0
         msg.kcopy = b2
-        # Inlined self.dma[msg.dst].submit_call(b2, msg.cb_after_rx_copy).
-        if b2 < 0:
-            raise ValueError(f"negative job duration: {b2}")
-        sim = self.sim
-        r = self.dma[msg.dst]
-        free = r._free_at
-        if r.servers == 1:
-            k = 0
-            start = free[0]
-        else:
-            k = min(range(r.servers), key=free.__getitem__)
-            start = free[k]
-        now = sim.now
-        if now > start:
-            start = now
-        end = start + b2
-        free[k] = end
-        r.busy_time += b2
-        r.jobs_served += 1
-        delay = end - now
-        packed = (msg.cb_after_rx_copy, start, end)
-        if delay == 0.0:
-            sim._dq.append((sim._seq, r._fire_cb, packed))
-        else:
-            t = now + delay
-            if t == now:
-                sim._dq.append((sim._seq, r._fire_cb, packed))
-            else:
-                heappush(sim._heap, (t, sim._seq, r._fire_cb, packed))
-        sim._seq += 1
+        self.dma[msg.dst].submit_call(b2, msg.cb_after_rx_copy)
 
     def _deliver(self, msg: _Message) -> None:
         """Message pipeline finished: release in stream order, then match.
@@ -1027,19 +876,7 @@ class World:
         key = (src, dst, tag)
         stream_seq = self._stream_next_seq.get(key, 0) + 1
         self._stream_next_seq[key] = stream_seq
-        # Inlined _acquire_msg().
-        if self._pooling:
-            self.pool_acquired += 1
-            pool = self._msg_pool
-            if pool:
-                msg = pool.pop()
-                msg.in_use = True
-            else:
-                self.pool_created += 1
-                msg = _Message(0, 0, 0, None, 0.0, 0, 0, world=self)
-                msg.in_use = True
-        else:
-            msg = _Message(0, 0, 0, None, 0.0, 0, 0, world=self)
+        msg = self._acquire_msg()
         msg.src = src
         msg.dst = dst
         msg.tag = tag
@@ -1214,10 +1051,6 @@ class Rank:
 
     # -- internals --------------------------------------------------------------
 
-    @property
-    def _sim(self) -> Simulator:
-        return self.world.sim
-
     def _trace(self, kind: str, start: float, end: float, label: str = "", *,
                resource: str = "cpu", term: str | None = None) -> None:
         self.world.trace.add(self.rank, kind, start, end, label,
@@ -1252,19 +1085,10 @@ class _ComputeEffect(Effect):
         result = self.fn() if self.fn is not None else None
         if seconds < 0:
             raise ValueError(f"negative timeout: {seconds}")
-        # Inlined ``Timeout(seconds, annotation="compute", result).start``
-        # — one compute effect per tile made the Timeout object the last
-        # per-step allocation on the hot path.
+        # What ``Timeout(seconds, "compute", result).start`` does, minus
+        # the Timeout object: one compute effect runs per tile.
         process.waiting_on = "compute"
-        if seconds == 0.0:
-            sim._dq.append((sim._seq, process._resume, result))
-        else:
-            t = now + seconds
-            if t == now:
-                sim._dq.append((sim._seq, process._resume, result))
-            else:
-                heappush(sim._heap, (t, sim._seq, process._resume, result))
-        sim._seq += 1
+        sim.schedule_call(seconds, process._resume, result)
 
 
 class _IsendEffect(Effect):
@@ -1300,19 +1124,7 @@ class _IsendEffect(Effect):
                            "B3-on-CPU")
         req = SendRequest(sim, "isend")
         process.waiting_on = "isend.fill_mpi_buffer"
-        # Inlined schedule_call(cpu, w._isend_after_cpu, packed).
-        if cpu < 0:
-            raise ValueError(f"cannot schedule in the past (delay={cpu})")
-        packed = (msg, req, process)
-        if cpu == 0.0:
-            sim._dq.append((sim._seq, w._isend_cont, packed))
-        else:
-            t = sim.now + cpu
-            if t == sim.now:
-                sim._dq.append((sim._seq, w._isend_cont, packed))
-            else:
-                heappush(sim._heap, (t, sim._seq, w._isend_cont, packed))
-        sim._seq += 1
+        sim.schedule_call(cpu, w._isend_cont, (msg, req, process))
 
 
 class _SendEffect(Effect):
@@ -1380,19 +1192,7 @@ class _IrecvEffect(Effect):
             # B2 will be paid by the CPU inside wait() once the message is in.
             req.post_cpu_cost = c[1]
         process.waiting_on = "irecv.prepare_buffer"
-        # Inlined schedule_call(a1, w._irecv_after_cpu, packed).
-        if a1 < 0:
-            raise ValueError(f"cannot schedule in the past (delay={a1})")
-        packed = (req, ctx.rank, process)
-        if a1 == 0.0:
-            sim._dq.append((sim._seq, w._irecv_cont, packed))
-        else:
-            t = sim.now + a1
-            if t == sim.now:
-                sim._dq.append((sim._seq, w._irecv_cont, packed))
-            else:
-                heappush(sim._heap, (t, sim._seq, w._irecv_cont, packed))
-        sim._seq += 1
+        sim.schedule_call(a1, w._irecv_cont, (req, ctx.rank, process))
 
 
 class _RecvEffect(Effect):
@@ -1457,8 +1257,7 @@ class _WaitEffect(Effect):
         frame.rank = ctx.rank
         label = _WAIT_LABELS.get(n)
         process.waiting_on = label if label is not None else f"waitall({n})"
-        # Same registration/hop structure as the old _when_all helper:
-        # empty set resumes via one zero-delay hop, a single request
+        # An empty set resumes via one zero-delay hop, a single request
         # rides its completion event directly, a group counts down.
         if n == 0:
             w.sim.schedule_call(0.0, frame.cb_done, None)
@@ -1467,28 +1266,6 @@ class _WaitEffect(Effect):
         else:
             for r in requests:
                 r.complete_event.add_callback(frame.cb_one)
-
-
-def _when_all(events: list[Event], callback, sim: Simulator) -> None:
-    """Invoke ``callback(values)`` once every event has triggered."""
-    remaining = len(events)
-    if remaining == 0:
-        sim.schedule(0.0, lambda: callback([]))
-        return
-    if remaining == 1:
-        # Fast path: same registration and resume hops as the generic
-        # counter version, minus the bookkeeping.
-        events[0].add_callback(callback)
-        return
-    state = {"remaining": remaining}
-
-    def on_one(_value: object) -> None:
-        state["remaining"] -= 1
-        if state["remaining"] == 0:
-            callback([e.value for e in events])
-
-    for e in events:
-        e.add_callback(on_one)
 
 
 class _BarrierEffect(Effect):

@@ -276,6 +276,7 @@ def _shard_summary(world: ShardWorld) -> dict:
     """Everything the coordinator needs from a finished shard —
     picklable, O(owned ranks) sized."""
     trace = world.trace
+    net = world.network
     rank_terms: dict[int, dict[str, float]] = {}
     rank_busy: dict[int, float] = {}
     if trace.enabled:
@@ -297,13 +298,19 @@ def _shard_summary(world: ShardWorld) -> dict:
         "messages_dropped": world.messages_dropped,
         "messages_corrupted": world.messages_corrupted,
         "counters": dict(world.trace.counters),
-        "net_messages": world.network.messages_carried,
-        "net_bytes": world.network.bytes_carried,
-        "tx_bytes": list(world.network.tx_bytes),
-        "rx_bytes": list(world.network.rx_bytes),
-        "latencies": list(world.network._latencies),
-        "retransmits": world.network.retransmits,
-        "duplicates": world.network.duplicates,
+        "net_messages": net.messages_carried,
+        "net_bytes": net.bytes_carried,
+        "tx_bytes": list(net.tx_bytes),
+        "rx_bytes": list(net.rx_bytes),
+        "loopback_messages": net.loopback_messages,
+        "loopback_bytes": net.loopback_bytes,
+        "latencies": list(net._latencies),
+        # Exact extremes: the retained sample may be decimated.
+        "latency_count": net._latency_count,
+        "latency_min": net._latency_min,
+        "latency_max": net._latency_max,
+        "retransmits": net.retransmits,
+        "duplicates": net.duplicates,
         "rank_terms": rank_terms,
         "rank_busy": rank_busy,
     }
@@ -715,17 +722,21 @@ class ShardedSimulation:
                 rx[i] += v
             lat.extend(s["latencies"])
         lat.sort()
-        n = len(lat)
+        measured = [s for s in summaries if s["latency_count"]]
         network_stats = {
             "messages": sum(s["net_messages"] for s in summaries),
             "bytes": sum(s["net_bytes"] for s in summaries),
             "tx_bytes": tuple(tx),
             "rx_bytes": tuple(rx),
-            "latency_min": lat[0] if n else 0.0,
+            "loopback_messages": sum(s["loopback_messages"] for s in summaries),
+            "loopback_bytes": sum(s["loopback_bytes"] for s in summaries),
+            "latency_min": min((s["latency_min"] for s in measured),
+                               default=0.0),
             "latency_median": _quantile(lat, 0.5),
             "latency_p95": _quantile(lat, 0.95),
             "latency_p99": _quantile(lat, 0.99),
-            "latency_max": lat[-1] if n else 0.0,
+            "latency_max": max((s["latency_max"] for s in measured),
+                               default=0.0),
             "retransmits": sum(s["retransmits"] for s in summaries),
             "duplicates": sum(s["duplicates"] for s in summaries),
         }

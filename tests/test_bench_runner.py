@@ -4,6 +4,7 @@ schema through the child-process path, and interleaved A/B mode."""
 import importlib.util
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -113,6 +114,12 @@ def test_ab_against_head_passes_the_core_gate(tmp_path):
     assert len(ab["ratios"]) == bench.PAIRS
     assert ab["range"] == [min(ab["ratios"]), max(ab["ratios"])]
     assert ab["range"][0] <= ab["median_ratio"] <= ab["range"][1]
+    # The null lane ran once per side in every pair, gates nothing, and
+    # prints beside the lane's own ratio.
+    assert len(ab["null_ratios"]) == bench.PAIRS
+    assert all(r > 0 for r in ab["null_ratios"])
+    assert ab["null_median"] == statistics.median(ab["null_ratios"])
+    assert f"null {ab['null_median']:.2f}x" in proc.stdout
     assert [g["name"] for g in section["lanes"]["trigger"]["gates"]] == [
         "speed_ratio_vs_base"]
     # The base checkout is gone again.

@@ -12,14 +12,18 @@ from repro.sim.mpi import World
 from repro.sim.resources import FifoResource
 
 
+def _noop(_interval):
+    pass
+
+
 class TestMultiServerResource:
     def test_two_servers_run_in_parallel(self):
         sim = Simulator()
         r = FifoResource(sim, "dma", servers=2)
         done = []
-        r.submit(3.0).add_callback(done.append)
-        r.submit(3.0).add_callback(done.append)
-        r.submit(3.0).add_callback(done.append)
+        r.submit_call(3.0, done.append)
+        r.submit_call(3.0, done.append)
+        r.submit_call(3.0, done.append)
         sim.run()
         assert done[0] == (0.0, 3.0)
         assert done[1] == (0.0, 3.0)
@@ -29,9 +33,9 @@ class TestMultiServerResource:
         sim = Simulator()
         r = FifoResource(sim, "dma", servers=2)
         ends = []
-        r.submit(5.0).add_callback(lambda i: ends.append(i[1]))
-        r.submit(1.0).add_callback(lambda i: ends.append(i[1]))
-        r.submit(1.0).add_callback(lambda i: ends.append(i[1]))
+        r.submit_call(5.0, lambda i: ends.append(i[1]))
+        r.submit_call(1.0, lambda i: ends.append(i[1]))
+        r.submit_call(1.0, lambda i: ends.append(i[1]))
         sim.run()
         # Third job lands on server 2 (free at 1.0), not server 1 (5.0).
         assert sorted(ends) == [1.0, 2.0, 5.0]
@@ -39,8 +43,8 @@ class TestMultiServerResource:
     def test_utilization_is_per_aggregate_capacity(self):
         sim = Simulator()
         r = FifoResource(sim, "dma", servers=2)
-        r.submit(4.0)
-        r.submit(4.0)
+        r.submit_call(4.0, _noop)
+        r.submit_call(4.0, _noop)
         sim.run()
         assert r.utilization(4.0) == pytest.approx(1.0)
         assert r.utilization(8.0) == pytest.approx(0.5)

@@ -19,7 +19,9 @@ from repro.kernels.stencil import sqrt_kernel_3d
 from repro.kernels.workloads import StencilWorkload
 from repro.model.machine import pentium_cluster
 from repro.runtime.executor import run_tiled, run_tiled_robust, run_tiled_sharded
+from repro.sim import sharding
 from repro.sim.faults import FaultPlan
+from repro.sim.network import Network
 from repro.sim.sharding import (
     ShardedSimulation,
     ShardWorld,
@@ -217,6 +219,37 @@ class TestMergedResult:
             for n in (1, 4)
         ]
         assert stats[0] == stats[1]
+
+    def test_network_stats_equal_single_simulator(self):
+        w, m = _workload(depth=32), pentium_cluster()
+        single = run_tiled(w, V, m, blocking=False).network_stats
+        sharded = run_tiled_sharded(w, V, m, blocking=False,
+                                    nshards=2).network_stats
+        assert sharded == single
+
+    def test_latency_extremes_exact_when_sample_decimates(self, monkeypatch):
+        """The merged min/max come from each shard's exact running
+        extremes, not from its stride-decimated latency sample."""
+        w, m = _workload(), pentium_cluster()
+        single = run_tiled(w, V, m, blocking=False).network_stats
+        cap = Network.cap_latency_samples
+        monkeypatch.setattr(Network, "cap_latency_samples",
+                            lambda self, _cap: cap(self, 4))
+        summaries = []
+        summary = sharding._shard_summary
+
+        def recorded_summary(world):
+            summaries.append(summary(world))
+            return summaries[-1]
+
+        monkeypatch.setattr(sharding, "_shard_summary", recorded_summary)
+        merged = run_tiled_sharded(w, V, m, blocking=False, nshards=2,
+                                   trace="streaming").network_stats
+        sample = [x for s in summaries for x in s["latencies"]]
+        # Not vacuous: decimation dropped the true maximum.
+        assert max(sample) < single["latency_max"]
+        assert merged["latency_min"] == single["latency_min"]
+        assert merged["latency_max"] == single["latency_max"]
 
     def test_untraced_run_has_no_rank_aggregates(self):
         w, m = _workload(depth=32), pentium_cluster()
