@@ -276,7 +276,6 @@ def _shard_summary(world: ShardWorld) -> dict:
     """Everything the coordinator needs from a finished shard —
     picklable, O(owned ranks) sized."""
     trace = world.trace
-    net = world.network
     rank_terms: dict[int, dict[str, float]] = {}
     rank_busy: dict[int, float] = {}
     if trace.enabled:
@@ -298,19 +297,19 @@ def _shard_summary(world: ShardWorld) -> dict:
         "messages_dropped": world.messages_dropped,
         "messages_corrupted": world.messages_corrupted,
         "counters": dict(world.trace.counters),
-        "net_messages": net.messages_carried,
-        "net_bytes": net.bytes_carried,
-        "tx_bytes": list(net.tx_bytes),
-        "rx_bytes": list(net.rx_bytes),
-        "loopback_messages": net.loopback_messages,
-        "loopback_bytes": net.loopback_bytes,
-        "latencies": list(net._latencies),
+        "net_messages": world.network.messages_carried,
+        "net_bytes": world.network.bytes_carried,
+        "tx_bytes": list(world.network.tx_bytes),
+        "rx_bytes": list(world.network.rx_bytes),
+        "loopback_messages": world.network.loopback_messages,
+        "loopback_bytes": world.network.loopback_bytes,
+        "latencies": list(world.network._latencies),
         # Exact extremes: the retained sample may be decimated.
-        "latency_count": net._latency_count,
-        "latency_min": net._latency_min,
-        "latency_max": net._latency_max,
-        "retransmits": net.retransmits,
-        "duplicates": net.duplicates,
+        "latency_count": world.network._latency_count,
+        "latency_min": world.network._latency_min,
+        "latency_max": world.network._latency_max,
+        "retransmits": world.network.retransmits,
+        "duplicates": world.network.duplicates,
         "rank_terms": rank_terms,
         "rank_busy": rank_busy,
     }
