@@ -17,7 +17,9 @@ the same, except where ``GATES`` names a separate quick bound.
 
 ``--ab REV`` checks REV out into a temporary ``git worktree`` and runs
 every lane ``PAIRS`` times against each checkout, flipping which side
-goes first in each pair.  The same lane code (this file) drives both
+goes first in each pair; a lane whose timed run is shorter than
+``SHORT_S`` gets ``SHORT_PAIRS`` pairs, since host noise moves short runs
+the most.  The same lane code (this file) drives both
 sides; only the ``repro`` on the path differs.  Each lane reports the
 median and range of its paired speed ratios, change over base.  The
 speed is events/s where the lane counts events, otherwise the inverse
@@ -55,6 +57,7 @@ REPO = Path(__file__).resolve().parent.parent
 GROUPS = ("core", "scale", "collectives", "resilience", "sweep", "trace",
           "tune", "chaos")
 PAIRS = 5
+SHORT_S, SHORT_PAIRS = 1.0, 11
 NULL_LANE = "null.heap_loop"
 TUNE_BUDGET = 0.10
 
@@ -65,6 +68,9 @@ GATES = {
     # The claim: at >= 8 ranks the pipelined multicast wins at some
     # segment count.
     "collectives.pipelined_speedup_vs_sequential": (">", 1.0),
+    # A sharded run prints what one simulator prints at the same grid.
+    "scale.sharded_completion_time_delta": ("==", 0.0),
+    "scale.sharded_messages_delta": ("==", 0),
     "resilience.supervision_overhead": ("<", 0.05),
     # Tiny batches are dominated by pool start-up, which both modes pay
     # but noisily.
@@ -299,8 +305,11 @@ def _scale(grid, depth, trace, nshards=1):
     from repro.kernels.workloads import scale_workload
     from repro.model.machine import pentium_cluster
     from repro.runtime.program import TiledProgram
+    from repro.sim.mpi import World
     m = pentium_cluster()
     prog = TiledProgram(scale_workload(grid, depth), 8, m, blocking=False)
+    world = World(m, prog.num_ranks, trace=trace)
+    gates = []
     if nshards > 1:
         from repro.sim.sharding import ShardedSimulation
         sim = ShardedSimulation(m, prog.num_ranks, nshards, trace=trace)
@@ -308,15 +317,18 @@ def _scale(grid, depth, trace, nshards=1):
         out = {"events": res.event_count,
                "completion_time": res.completion_time,
                "messages": res.messages_sent, "windows": res.windows}
+        end = world.run(prog.programs())  # the untimed reference
+        gates = [gate("scale.sharded_completion_time_delta",
+                      res.completion_time - end),
+                 gate("scale.sharded_messages_delta",
+                      res.messages_sent - world.messages_sent)]
     else:
-        from repro.sim.mpi import World
-        world = World(m, prog.num_ranks, trace=trace)
         end, wall = _clock(partial(world.run, prog.programs()))
         out = {"events": world.sim.event_count, "completion_time": end,
                "messages": world.messages_sent,
                "trace_records": len(world.trace.records)}
     return {"ranks": prog.num_ranks, **out, "wall_s": wall,
-            "events_per_sec": out["events"] / wall}, []
+            "events_per_sec": out["events"] / wall}, gates
 
 
 def _trace_record_bytes():
@@ -720,12 +732,20 @@ def _speed(rec: dict) -> float:
     return rec["metrics"].get("events_per_sec") or 1.0 / rec["wall_s"]
 
 
+def _pairs(rec: dict) -> int:
+    """How many A/B pairs a lane gets, from one record of it."""
+    run_s = rec["metrics"].get("wall_s", rec["wall_s"])
+    return SHORT_PAIRS if run_s < SHORT_S else PAIRS
+
+
 def _ab(name: str, quick: bool, base: Path) -> dict:
-    """``PAIRS`` alternating base/change runs of one lane, each followed
-    by a run of the null lane on the same side; the change's last record
-    plus the paired speed ratios of the lane and of the null lane."""
+    """Alternating base/change runs of one lane, each followed by a run
+    of the null lane on the same side; the change's last record plus the
+    paired speed ratios of the lane and of the null lane.  The first
+    pair decides how many pairs run (:func:`_pairs`)."""
     ratios, null_ratios = [], []
-    for i in range(PAIRS):
+    pairs, i = PAIRS, 0
+    while i < pairs:
         sides = (base, REPO) if i % 2 == 0 else (REPO, base)
         runs, nulls = {}, {}
         for side in sides:
@@ -737,6 +757,9 @@ def _ab(name: str, quick: bool, base: Path) -> dict:
             return failed
         ratios.append(_speed(runs[REPO]) / _speed(runs[base]))
         null_ratios.append(_speed(nulls[REPO]) / _speed(nulls[base]))
+        if i == 0:
+            pairs = max(map(_pairs, runs.values()))
+        i += 1
     rec = runs[REPO]
     median = statistics.median(ratios)
     rec["ab"] = {"metric": ("events_per_sec" if "events_per_sec" in rec["metrics"]

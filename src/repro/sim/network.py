@@ -239,9 +239,21 @@ class Network:
         route = self.topology.route(src, dst) if self.routed else ()
 
         def finish_rx(tx_start: float, ready_at: float) -> None:
-            self.rx_leg(src, dst, wire, ready_at, tx_start, submitted_at,
-                        arrival.trigger, kind=kind, rx_term=rx_term,
-                        label=lane_label)
+            # Receiver half: occupy rx[dst] from ``ready_at``, then trace
+            # the B1 and in-flight intervals and sample the latency.
+            def on_arrival(interval: tuple) -> None:
+                rx_start, arr_end = interval
+                if trace is not None:
+                    if arr_end > rx_start:
+                        trace.add(dst, kind, rx_start, arr_end, lane_label,
+                                  resource="nic_rx", term=rx_term)
+                    if arr_end > tx_start:
+                        trace.add(src, "in_flight", tx_start, arr_end,
+                                  lane_label, resource="link", term="")
+                self._record_latency(arr_end - submitted_at)
+                arrival.trigger(interval)
+
+            self.rx[dst].submit_call(wire, on_arrival, not_before=ready_at)
 
         def forward(hop_idx: int, tx_start: float, ready_at: float) -> None:
             # Store-and-forward over the route: each directed link is a
@@ -283,52 +295,14 @@ class Network:
         self.tx[src].submit_call(wire, after_tx)
         return arrival
 
-    def rx_leg(
-        self,
-        src: int,
-        dst: int,
-        wire: float,
-        not_before: float,
-        tx_start: float,
-        submitted_at: float,
-        complete: Callable[[tuple[float, float]], None],
-        *,
-        kind: str = "wire",
-        rx_term: str = "B1",
-        label: str = "",
-    ) -> None:
-        """Receiver half of a transmission: occupy ``rx[dst]`` for
-        ``wire`` starting no earlier than ``not_before``, record the
-        ``nic_rx``/``link`` trace intervals and the end-to-end latency
-        sample, then call ``complete((rx_start, arr_end))``.
-
-        Factored out of :meth:`transmit` so a rank-sharded run
-        (:mod:`repro.sim.sharding`) can execute it on the *receiving*
-        shard's network while the TX half ran on the sender's shard.
-        Placement depends only on the relative submission order per
-        ``rx[dst]``, which sharded runs preserve.
-        """
-        trace = self.trace if self.trace is not None and self.trace.enabled else None
-
-        def on_arrival(interval: tuple) -> None:
-            rx_start, arr_end = interval
-            if trace is not None:
-                if arr_end > rx_start:
-                    trace.add(dst, kind, rx_start, arr_end, label,
-                              resource="nic_rx", term=rx_term)
-                if arr_end > tx_start:
-                    trace.add(src, "in_flight", tx_start, arr_end, label,
-                              resource="link", term="")
-            self._record_latency(arr_end - submitted_at)
-            complete(interval)
-
-        self.rx[dst].submit_call(wire, on_arrival, not_before=not_before)
-
     def stats(self) -> dict:
         """Aggregate traffic statistics: totals, per-node bytes, the
         wire-level message latency distribution (submission → arrival,
         with interpolated median/p95/p99), and the reliability layer's
-        retransmit/duplicate counters."""
+        retransmit/duplicate counters.  When the latency sample was
+        stride-decimated (:meth:`cap_latency_samples`), the quantiles are
+        approximate and ``latency_stride`` says by how much; min and max
+        stay exact."""
         lat = sorted(self._latencies)
         n = len(lat)
         out = {
@@ -346,6 +320,8 @@ class Network:
             "retransmits": self.retransmits,
             "duplicates": self.duplicates,
         }
+        if self._latency_stride > 1:
+            out["latency_stride"] = self._latency_stride
         if self.routed:
             out["topology"] = self.topology.name
             out["hops"] = self.hops_routed

@@ -4,13 +4,26 @@ A :class:`ShardedSimulation` partitions the ranks of one logical world
 into contiguous shards, each backed by its own
 :class:`~repro.sim.mpi.World` (own :class:`~repro.sim.core.Simulator`,
 own network endpoints, own trace).  The shards advance in *conservative
-lookahead windows*: every message needs at least the machine's switch
-latency ``L`` between leaving the sender's NIC and touching any receiver
-state, so after all shards have simulated up to ``T`` and exchanged their
-cross-shard sends, each may safely run to ``T + L`` without ever
-receiving an event from the past.  The window bound is recomputed each
-round from the global minimum pending-event time, so idle stretches are
-skipped at full speed.
+lookahead windows*.  A receiver leg built when a sender's TX job ends at
+``end`` is injected at ``end + L``, where ``L`` is the machine's switch
+latency.  A window starting at the global minimum pending-event time
+``tmin`` therefore runs every shard to ``bound = nextafter(tmin + L,
+-inf)``, the largest float below ``tmin + L``.  The bound is exact, not
+a margin: a TX job ending inside the window ends at ``end >= tmin``, and
+float addition rounds monotonically, so its injection instant is
+``fl(end + L) >= fl(tmin + L) > bound``.  No shard can receive an event
+from its past, and :meth:`ShardWorld.inject_batch` checks it.
+
+Window protocol: one ``step`` command per shard per window, carrying
+``(batch, bound)``.  ``batch`` holds the cross-shard handoffs the other
+shards produced for this shard in the previous window.  The shard
+injects it, runs to ``bound`` and replies ``(next event time, outbox,
+event count)``.  The coordinator posts the step to every shard before it
+collects any reply (scatter, then gather), so shard processes simulate
+concurrently.  It collects in shard order, so each inbox fills in the
+same order whatever the timing.  Injection only schedules flushes at the
+entries' own instants, so the next ``tmin`` is the minimum of the
+replied next times and the inbox instants, with no extra round trip.
 
 Exactness.  Receiver-side FIFO placement (NIC RX, DMA) depends on
 submission *order*, and :class:`~repro.sim.mpi.World` defines that order
@@ -27,13 +40,14 @@ the FIFO's now-clamp never binds and every job start/end time is
 bit-identical to the single-process run; the experiments' completion
 times, message counts and per-rank trace aggregates follow.
 
-Two drivers share the window protocol:
+Two drivers speak the step protocol:
 
 * in-process (``processes=False``): every shard lives in this
-  interpreter — deterministic, no pickling, the validation reference;
-* multiprocessing (``processes=True``): one OS process per shard,
-  coordinated over pipes — cross-shard sends are forwarded between
-  processes at each window boundary.
+  interpreter and runs its step when it is posted — deterministic, no
+  pickling, the validation reference;
+* multiprocessing (``processes=True``): one OS process per shard over a
+  pipe.  A shard that dies or goes silent is respawned and replays the
+  steps it had completed (see :class:`_RemoteShard`).
 
 Not supported in sharded mode: the reliable-delivery layer (its ack
 conversations would need their own lookahead bookkeeping), barriers, and
@@ -44,6 +58,7 @@ supported — fates are keyed by message identity, not by arrival order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Sequence
 
@@ -96,6 +111,26 @@ def shard_bounds(num_ranks: int, nshards: int) -> list[range]:
     return bounds
 
 
+def _check_shardable(machine: Machine, faults: FaultPlan | None) -> None:
+    """Reject what the lookahead windows cannot simulate exactly."""
+    if machine.network_latency <= 0.0:
+        raise ValueError(
+            "sharded simulation needs machine.network_latency > 0 "
+            "for its conservative lookahead window"
+        )
+    if not machine.duplex:
+        raise ValueError(
+            "sharded simulation needs a full-duplex machine: on a "
+            "shared half-duplex port the deferred receiver legs "
+            "would contend differently with the sender's own TX"
+        )
+    if faults is not None and faults.drop_every_nth:
+        raise ValueError(
+            "drop_every_nth counts messages globally and cannot be "
+            "sharded; use FaultPlan(drop_prob=...) instead"
+        )
+
+
 class _NoBarrier:
     """Stand-in for ``World._barrier_waiting`` in sharded worlds."""
 
@@ -131,27 +166,11 @@ class ShardWorld(World):
         trace: bool | str = False,
         faults: FaultPlan | None = None,
     ):
-        if faults is not None and faults.drop_every_nth:
-            raise ValueError(
-                "drop_every_nth counts messages globally and cannot be "
-                "sharded; use FaultPlan(drop_prob=...) instead"
-            )
+        _check_shardable(machine, faults)
         super().__init__(machine, num_ranks, trace=trace, faults=faults)
-        if machine.network_latency <= 0.0:
-            raise ValueError(
-                "sharded simulation needs machine.network_latency > 0 "
-                "for its conservative lookahead window"
-            )
-        if not machine.duplex:
-            raise ValueError(
-                "sharded simulation needs a full-duplex machine: on a "
-                "shared half-duplex port the deferred receiver legs "
-                "would contend differently with the sender's own TX"
-            )
         self.owned = owned
         self.shard_id = shard_of[owned.start] if len(owned) else -1
         self._shard_of = shard_of
-        self._lookahead = machine.network_latency
         #: Handoffs generated this window for ranks on other shards.
         self.outbox: list[Handoff] = []
         self._barrier_waiting = _NoBarrier()  # type: ignore[assignment]
@@ -193,9 +212,26 @@ class ShardWorld(World):
         placement is independent of how the coordinator gathered the
         entries.  The window bound stays strictly below every in-flight
         injection instant, so no group's flush can have fired before its
-        cross-shard entries arrive."""
+        cross-shard entries arrive; an entry at or before this shard's
+        clock means that argument broke, and raises."""
+        now = self.sim.now
         for entry in batch:
+            if entry[0] <= now:
+                raise RuntimeError(
+                    f"cross-shard handoff for instant {entry[0]!r} arrived "
+                    f"at shard {self.shard_id} already at {now!r}"
+                )
             self._enqueue_rx(entry)
+
+
+def _step(world: ShardWorld, batch: list[Handoff],
+          bound: float) -> tuple[float | None, list[Handoff], int]:
+    """One window on one shard: inject ``batch``, run to ``bound``;
+    returns (next event time, outbox, events so far)."""
+    world.inject_batch(batch)
+    world.sim.run(until=bound)
+    out, world.outbox = world.outbox, []
+    return world.sim.next_time(), out, world.sim.event_count
 
 
 @dataclass
@@ -243,24 +279,21 @@ class ShardedResult:
 
 
 class _LocalShard:
-    """In-process driver handle around one :class:`ShardWorld`."""
+    """In-process driver handle around one :class:`ShardWorld`: a posted
+    step runs at once and its reply waits for :meth:`collect`."""
 
     def __init__(self, world: ShardWorld):
         self.world = world
+        self._state = None
 
     def spawn(self, programs) -> None:
         self.world.spawn_owned(programs)
 
-    def inject(self, batch: list[Handoff]) -> None:
-        if batch:
-            self.world.inject_batch(batch)
+    def post(self, batch: list[Handoff], bound: float) -> None:
+        self._state = _step(self.world, batch, bound)
 
-    def advance(self, bound: float) -> tuple[float | None, list[Handoff], int]:
-        """Run to ``bound``; returns (next event time, outbox, events)."""
-        w = self.world
-        w.sim.run(until=bound)
-        out, w.outbox = w.outbox, []
-        return w.sim.next_time(), out, w.sim.event_count
+    def collect(self) -> tuple[float | None, list[Handoff], int]:
+        return self._state
 
     def next_time(self) -> float | None:
         return self.world.sim.next_time()
@@ -308,6 +341,7 @@ def _shard_summary(world: ShardWorld) -> dict:
         "latency_count": world.network._latency_count,
         "latency_min": world.network._latency_min,
         "latency_max": world.network._latency_max,
+        "latency_stride": world.network._latency_stride,
         "retransmits": world.network.retransmits,
         "duplicates": world.network.duplicates,
         "rank_terms": rank_terms,
@@ -320,10 +354,10 @@ def _shard_summary(world: ShardWorld) -> dict:
 
 def _shard_main(conn) -> None:  # pragma: no cover - child process body
     """Child-process entry: build the shard from the init message, then
-    serve ``inject``/``advance``/``finish`` commands over the pipe.
+    serve ``step``/``next``/``finish`` commands over the pipe.
 
     When the init spec carries a harness-chaos plan, the child consults
-    it at every window barrier (each ``advance`` command) and may kill
+    it at every window barrier (each ``step`` command) and may kill
     or freeze itself — deterministically in ``(shard, window)``, and
     only while its ``incarnation`` is below the plan's fault budget, so
     a respawned shard always completes its replay.
@@ -348,11 +382,7 @@ def _shard_main(conn) -> None:  # pragma: no cover - child process body
         window = 0
         while True:
             cmd, payload = conn.recv()
-            if cmd == "inject":
-                if payload:
-                    world.inject_batch(payload)
-                conn.send(("ok", None))
-            elif cmd == "advance":
+            if cmd == "step":
                 if plan is not None:
                     from repro.experiments.supervisor import apply_worker_fate
 
@@ -360,12 +390,7 @@ def _shard_main(conn) -> None:  # pragma: no cover - child process body
                         plan.shard_fate(world.shard_id, window, incarnation)
                     )
                 window += 1
-                world.sim.run(until=payload)
-                out, world.outbox = world.outbox, []
-                conn.send(
-                    ("state", (world.sim.next_time(), out,
-                               world.sim.event_count))
-                )
+                conn.send(("state", _step(world, *payload)))
             elif cmd == "next":
                 conn.send(("time", world.sim.next_time()))
             elif cmd == "finish":
@@ -385,10 +410,10 @@ class _RemoteShard:
     """Pipe-connected driver handle around a shard child process.
 
     The handle is *restartable*: when ``record_history`` is on it keeps
-    the window-barrier command log (every ``inject`` batch and
-    ``advance`` bound, in order) so :meth:`respawn` can kill a dead or
-    frozen child, start a fresh one (``incarnation + 1``) and replay it
-    back to the exact pre-failure state — the simulator's determinism
+    every ``step`` command whose reply arrived, in order, so
+    :meth:`respawn` can kill a dead or frozen child, start a fresh one
+    (``incarnation + 1``), replay it back to the exact pre-failure state
+    and re-post the step still in flight — the simulator's determinism
     makes the replayed shard bit-identical to the lost one.  Replayed
     outboxes are discarded: the coordinator already routed them when the
     original window ran.
@@ -402,6 +427,7 @@ class _RemoteShard:
         self.timeout = timeout
         self.record_history = record_history
         self._history: list[tuple[str, object]] = []
+        self._posted: tuple[str, object] | None = None
         self.incarnation = 0
         self.restarts = 0
         self._start()
@@ -449,29 +475,33 @@ class _RemoteShard:
             ) from exc
 
     def respawn(self) -> None:
-        """Kill the child, start a fresh incarnation, replay history."""
+        """Kill the child, start a fresh incarnation, replay history and
+        re-post the step in flight."""
         self._kill()
         self.incarnation += 1
         self.restarts += 1
         self._start()
-        for cmd, payload in self._history:
-            self._send((cmd, payload))
+        for message in self._history:
+            self._send(message)
             self._reply()  # replayed outboxes were already routed
+        if self._posted is not None:
+            self._send(self._posted)
 
     def spawn(self, programs) -> None:
         pass  # the child spawned from its factory at init
 
-    def inject(self, batch: list[Handoff]) -> None:
-        self._send(("inject", batch))
-        self._reply()
-        if self.record_history:
-            self._history.append(("inject", batch))
+    def post(self, batch: list[Handoff], bound: float) -> None:
+        self._posted = ("step", (batch, bound))
+        try:
+            self.conn.send(self._posted)
+        except (OSError, ValueError):
+            pass  # a dead child surfaces at collect, which respawns it
 
-    def advance(self, bound: float) -> tuple[float | None, list[Handoff], int]:
-        self._send(("advance", bound))
+    def collect(self) -> tuple[float | None, list[Handoff], int]:
         state = self._reply()
         if self.record_history:
-            self._history.append(("advance", bound))
+            self._history.append(self._posted)
+        self._posted = None
         return state
 
     def next_time(self) -> float | None:
@@ -555,22 +585,7 @@ class ShardedSimulation:
         for k, b in enumerate(self.bounds):
             for r in b:
                 self._shard_of[r] = k
-        if machine.network_latency <= 0.0:
-            raise ValueError(
-                "sharded simulation needs machine.network_latency > 0 "
-                "for its conservative lookahead window"
-            )
-        if not machine.duplex:
-            raise ValueError(
-                "sharded simulation needs a full-duplex machine: on a "
-                "shared half-duplex port the deferred receiver legs "
-                "would contend differently with the sender's own TX"
-            )
-        if faults is not None and faults.drop_every_nth:
-            raise ValueError(
-                "drop_every_nth counts messages globally and cannot be "
-                "sharded; use FaultPlan(drop_prob=...) instead"
-            )
+        _check_shardable(machine, faults)
 
     def run(
         self,
@@ -639,15 +654,15 @@ class ShardedSimulation:
             for b in self.bounds
         ]
 
-    def _call(self, shard, op: str, *args):
-        """One shard command with crash/hang recovery: on
-        :class:`ShardCrash`/:class:`ShardTimeout`, respawn + replay the
-        shard (bounded by ``max_shard_restarts``) and retry the command.
-        In-process shards never raise these, so the fast path is a plain
-        method call."""
+    def _call(self, shard, op: str):
+        """One shard call (``next_time``, ``collect`` or ``finish``) with
+        crash/hang recovery: on :class:`ShardCrash`/:class:`ShardTimeout`,
+        respawn + replay the shard (bounded by ``max_shard_restarts``),
+        which re-posts any step in flight, and call again.  In-process
+        shards never raise these, so the fast path is a plain call."""
         while True:
             try:
-                return getattr(shard, op)(*args)
+                return getattr(shard, op)()
             except (ShardCrash, ShardTimeout):
                 if (
                     not isinstance(shard, _RemoteShard)
@@ -666,25 +681,23 @@ class ShardedSimulation:
         ]
         inboxes: list[list[Handoff]] = [[] for _ in shards]
         windows = 0
-        total_events = 0
         while True:
-            for k, s in enumerate(shards):
-                if inboxes[k]:
-                    self._call(s, "inject", inboxes[k])
-                    inboxes[k] = []
-                    next_times[k] = self._call(s, "next_time")
+            # Injecting an inbox only schedules flushes at the entries'
+            # own instants, so they join the shards' next times directly.
             pending = [t for t in next_times if t is not None]
+            pending += [entry[0] for inbox in inboxes for entry in inbox]
             if not pending:
                 break
-            # Strictly less than tmin + lookahead: every injection
-            # instant in flight is > bound, so no flush can fire before
-            # this window's cross-shard handoffs are exchanged.
-            bound = min(pending) + 0.5 * lookahead
+            # The largest float below tmin + lookahead: see the module
+            # docstring for why every handoff made now lands past it.
+            bound = math.nextafter(min(pending) + lookahead, -math.inf)
             windows += 1
+            for s, inbox in zip(shards, inboxes):
+                s.post(inbox, bound)
+            inboxes = [[] for _ in shards]
             total_events = 0
             for k, s in enumerate(shards):
-                t, outbox, events = self._call(s, "advance", bound)
-                next_times[k] = t
+                next_times[k], outbox, events = self._call(s, "collect")
                 total_events += events
                 for entry in outbox:
                     inboxes[self._shard_of[entry[5]]].append(entry)
@@ -739,6 +752,11 @@ class ShardedSimulation:
             "retransmits": sum(s["retransmits"] for s in summaries),
             "duplicates": sum(s["duplicates"] for s in summaries),
         }
+        # Shards decimate at their own strides: label the merged
+        # quantiles approximate by the coarsest.
+        stride = max(s["latency_stride"] for s in summaries)
+        if stride > 1:
+            network_stats["latency_stride"] = stride
         rank_terms: dict[int, dict[str, float]] = {}
         rank_busy: dict[int, float] = {}
         for s in summaries:

@@ -22,6 +22,8 @@ _spec.loader.exec_module(bench)
 OLD_BOUNDS = {
     "core.speed_ratio_vs_base": (">=", 0.80),
     "collectives.pipelined_speedup_vs_sequential": (">", 1.0),
+    "scale.sharded_completion_time_delta": ("==", 0.0),
+    "scale.sharded_messages_delta": ("==", 0),
     "resilience.supervision_overhead": ("<", 0.05),
     "resilience.supervision_overhead_quick": ("<", 0.30),
     "resilience.crashes_recovered": (">", 0),
@@ -71,6 +73,26 @@ def test_every_group_has_lanes_in_both_modes():
     assert "collectives.ranks9" in bench.registry(True)
 
 
+@pytest.mark.parametrize("run_s,lane_s,pairs", [
+    (0.2, 3.0, 11),   # a core lane: short timed runs, best of five
+    (1.5, 1.6, 5),
+    (None, 0.5, 11),  # no timed run: the lane's own wall decides
+    (None, 2.0, 5),
+])
+def test_short_lanes_get_more_ab_pairs(run_s, lane_s, pairs):
+    metrics = {} if run_s is None else {"wall_s": run_s}
+    assert bench._pairs({"metrics": metrics, "wall_s": lane_s}) == pairs
+    assert (bench.SHORT_S, bench.SHORT_PAIRS, bench.PAIRS) == (1.0, 11, 5)
+
+
+def test_sharded_scale_lane_gates_on_the_single_simulator():
+    metrics, gates = bench._scale(4, 16, False, 4)
+    assert metrics["windows"] > 0
+    assert [(g["name"], g["value"], g["ok"]) for g in gates] == [
+        ("sharded_completion_time_delta", 0.0, True),
+        ("sharded_messages_delta", 0, True)]
+
+
 def _run(tmp_path, *args):
     out = tmp_path / "bench.json"
     proc = subprocess.run(
@@ -111,12 +133,13 @@ def test_ab_against_head_passes_the_core_gate(tmp_path):
     section = doc["core"]
     assert section["provenance"]["ab_base_sha"] == bench._git_sha(REPO)
     ab = section["lanes"]["trigger"]["ab"]
-    assert len(ab["ratios"]) == bench.PAIRS
+    # The quick trigger lane's timed run is short: it gets more pairs.
+    assert len(ab["ratios"]) == bench.SHORT_PAIRS
     assert ab["range"] == [min(ab["ratios"]), max(ab["ratios"])]
     assert ab["range"][0] <= ab["median_ratio"] <= ab["range"][1]
     # The null lane ran once per side in every pair, gates nothing, and
     # prints beside the lane's own ratio.
-    assert len(ab["null_ratios"]) == bench.PAIRS
+    assert len(ab["null_ratios"]) == bench.SHORT_PAIRS
     assert all(r > 0 for r in ab["null_ratios"])
     assert ab["null_median"] == statistics.median(ab["null_ratios"])
     assert f"null {ab['null_median']:.2f}x" in proc.stdout

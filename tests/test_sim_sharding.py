@@ -68,6 +68,11 @@ def _assert_identical(sharded, completion, messages, terms, busy):
         assert repr(sharded.rank_busy[rank]) == repr(val), rank
 
 
+def _record_key(rec):
+    return (rec.rank, rec.resource, repr(rec.start), repr(rec.end),
+            rec.kind, rec.label, rec.term)
+
+
 class TestShardBounds:
     def test_even_split(self):
         assert shard_bounds(8, 4) == [range(0, 2), range(2, 4),
@@ -113,10 +118,6 @@ class TestBitIdentity:
         w, m = _workload(depth=32), pentium_cluster()
         ref = run_tiled(w, V, m, blocking=blocking, trace=True)
 
-        def key(rec):
-            return (rec.rank, rec.resource, repr(rec.start), repr(rec.end),
-                    rec.kind, rec.label, rec.term)
-
         programs = _TiledPrograms(w, V, m, blocking)()
         sharded = ShardedSimulation(m, w.num_processors, 3, trace="full")
         shards = sharded._make_shards(None)
@@ -125,12 +126,70 @@ class TestBitIdentity:
                 s.spawn(programs)
             sharded._drive(shards, 50_000_000)
             got = sorted(
-                key(r) for s in shards for r in s.world.trace.records
+                _record_key(r) for s in shards for r in s.world.trace.records
             )
         finally:
             for s in shards:
                 s.close()
-        assert got == sorted(key(r) for r in ref.trace.records)
+        assert got == sorted(_record_key(r) for r in ref.trace.records)
+
+
+@pytest.mark.parametrize("nshards", [2, 3, 4])
+def test_full_record_union_matches_with_jitter(nshards):
+    """Under fault jitter the shards' full trace records, unioned, equal
+    the single-process record set: the window bound never lets a shard
+    run past a cross-shard handoff."""
+    from repro.runtime.executor import _TiledPrograms
+
+    w, m = _workload(depth=32), pentium_cluster()
+    faults = FaultPlan(seed=11, jitter=2e-5)
+    ref = run_tiled_robust(w, V, m, blocking=False, faults=faults,
+                           trace=True)
+    assert ref.status == "completed"
+    programs = _TiledPrograms(w, V, m, False)()
+    sharded = ShardedSimulation(m, w.num_processors, nshards, trace="full",
+                                faults=faults)
+    shards = sharded._make_shards(None)
+    try:
+        for s in shards:
+            s.spawn(programs)
+        sharded._drive(shards, 50_000_000)
+        got = sorted(_record_key(r) for s in shards
+                     for r in s.world.trace.records)
+    finally:
+        for s in shards:
+            s.close()
+    assert got == sorted(_record_key(r) for r in ref.trace.records)
+
+
+class TestInjectBatch:
+    def _entry(self, instant):
+        # (inject_time, tx_submit, launch_time, src, stream_seq, dst, tag,
+        #  seq, payload, nbytes, wire, not_before, tx_start, label)
+        return (instant, 0.0, 0.0, 2, 1, 0, 0, 1, None, 8.0, 1e-6,
+                instant, 0.0, "")
+
+    def _world_at(self, now):
+        world = ShardWorld(pentium_cluster(), 4, range(0, 2), [0, 0, 1, 1])
+        world.sim.schedule_call_at(now, lambda _: None, None)
+        world.sim.run()
+        assert world.sim.now == now
+        return world
+
+    def test_entry_at_the_shard_clock_raises(self):
+        world = self._world_at(1e-3)
+        with pytest.raises(RuntimeError, match="arrived at shard 0"):
+            world.inject_batch([self._entry(1e-3)])
+
+    def test_entry_before_the_shard_clock_raises(self):
+        world = self._world_at(1e-3)
+        with pytest.raises(RuntimeError, match="arrived at shard 0"):
+            world.inject_batch([self._entry(5e-4)])
+
+    def test_entry_after_the_shard_clock_is_scheduled_at_its_instant(self):
+        world = self._world_at(1e-3)
+        world.inject_batch([self._entry(2e-3)])
+        assert world.sim.next_time() == 2e-3
 
 
 class TestFaultInjection:
@@ -250,6 +309,33 @@ class TestMergedResult:
         assert max(sample) < single["latency_max"]
         assert merged["latency_min"] == single["latency_min"]
         assert merged["latency_max"] == single["latency_max"]
+
+    def test_decimated_quantiles_are_labelled_approximate(self, monkeypatch):
+        """With the latency sample capped at 16 the single-simulator and
+        sharded quantiles differ, so both carry ``latency_stride``."""
+        w, m = _workload(), pentium_cluster()
+        exact_single = run_tiled(w, V, m, blocking=False).network_stats
+        exact_sharded = run_tiled_sharded(w, V, m, blocking=False,
+                                          nshards=2).network_stats
+        cap = Network.cap_latency_samples
+        monkeypatch.setattr(Network, "cap_latency_samples",
+                            lambda self, _cap: cap(self, 16))
+        single = run_tiled(w, V, m, blocking=False,
+                           trace="streaming").network_stats
+        sharded = run_tiled_sharded(w, V, m, blocking=False, nshards=2,
+                                    trace="streaming").network_stats
+        assert single["latency_p95"] != sharded["latency_p95"]
+        assert single["latency_stride"] > 1
+        assert sharded["latency_stride"] > 1
+        # Exact runs keep their dict as it was: no stride key.
+        assert "latency_stride" not in exact_single
+        assert exact_sharded == exact_single
+        assert list(exact_single) == [
+            "messages", "bytes", "tx_bytes", "rx_bytes",
+            "loopback_messages", "loopback_bytes", "latency_min",
+            "latency_median", "latency_p95", "latency_p99", "latency_max",
+            "retransmits", "duplicates",
+        ]
 
     def test_untraced_run_has_no_rank_aggregates(self):
         w, m = _workload(depth=32), pentium_cluster()
